@@ -1,5 +1,6 @@
-//! Bench: legality-checker throughput (the parallel point-disjointness
-//! sweep is the reproduction's hot loop) and metrics aggregation.
+//! Bench: legality-checker throughput (the per-wire footprint lookups
+//! and the point-disjointness sweep are the reproduction's hot loop) and
+//! metrics aggregation.
 
 use mlv_core::bench::{black_box, BenchGroup};
 use mlv_grid::checker::check;

@@ -9,15 +9,15 @@
 //! the flat pipeline cannot fit in; the bench itself reports `VmHWM`
 //! per size so the scaling table in `EXPERIMENTS.md` is reproducible.
 //!
-//! At small sizes (≤ 2¹² nodes) every record also runs the streaming
-//! legality check plus the full differential: `materialize(tiled)`
-//! must digest-match the flat `realize()`, and the streaming checker
-//! must agree with the full-grid checker report. Large sizes skip
-//! both — the flat side is exactly the memory the bench avoids, and
-//! any legality check (streaming or not) walks every wire *point*
-//! against the node index, which is hours of work at 2²⁰ nodes. The
-//! conformance harness already pins checker agreement across the
-//! lattice; this bench pins realization scaling.
+//! At small sizes (≤ 2¹² nodes) every record also runs the legality
+//! check over the tile instances plus the flat differential:
+//! `materialize(tiled)` must digest-match the flat `realize()`, and the
+//! checker's report on the tiled IR must equal the naive point-set
+//! reference checker's on the flat layout. Large sizes skip both — the
+//! flat side is exactly the memory the bench avoids, and the checker
+//! walks every wire *point* against the node index, which is hours of
+//! work at 2²⁰ nodes. The conformance harness already pins checker
+//! agreement across the lattice; this bench pins realization scaling.
 //!
 //! ```text
 //! bench_tiled [--family=hypercube|karyn|all] [--layers=L]
@@ -34,6 +34,9 @@ use mlv_layout::engine::layout_digest;
 use mlv_layout::{families, RealizeOptions};
 use std::process::ExitCode;
 use std::time::Instant;
+
+#[path = "../../../grid/tests/support/naive_checker.rs"]
+mod naive_checker;
 
 /// Sizes above this many nodes skip the legality check and the
 /// flat-vs-tiled differential: the flat side is exactly the memory the
@@ -113,11 +116,11 @@ fn run_size(tag: &str, n: usize, family: families::Family, args: &Args) -> bool 
     let mut ok = true;
     let (legal, differential, check_ms) = if nodes <= DIFFERENTIAL_MAX_NODES {
         let t2 = Instant::now();
-        let report = mlv_grid::check_stream(&tiled, Some(&family.graph));
+        let report = mlv_grid::check(&tiled, Some(&family.graph));
         let check_ms = t2.elapsed().as_secs_f64() * 1e3;
         if !report.is_legal() {
             eprintln!(
-                "FAIL {tag} n={n}: streaming checker found {} error(s): {:?}",
+                "FAIL {tag} n={n}: checker found {} error(s): {:?}",
                 report.errors.len(),
                 report.errors.first()
             );
@@ -126,11 +129,8 @@ fn run_size(tag: &str, n: usize, family: families::Family, args: &Args) -> bool 
         let flat = family.realize_with(&opts);
         let flat_digest = layout_digest(&flat);
         let tiled_digest = layout_digest(&tiled.materialize());
-        let full = mlv_grid::checker::check(&flat, Some(&family.graph));
-        let matches = tiled_digest == flat_digest
-            && report.errors == full.errors
-            && report.wire_points == full.wire_points
-            && report.node_points == full.node_points;
+        let reference = naive_checker::naive_check(&flat, Some(&family.graph));
+        let matches = tiled_digest == flat_digest && report == reference;
         if !matches {
             eprintln!(
                 "FAIL {tag} n={n}: tiled/flat differential diverged \

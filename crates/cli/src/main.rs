@@ -64,7 +64,7 @@ USAGE:
              [--pdk uniform|hv6|@file.pdk]
   mlv profile <family> [<params>] [--layers <L>] [--no-check]
              [--pdk uniform|hv6|@file.pdk]
-  mlv check  <layout-file.mlv> [--tiled] [--pdk uniform|hv6|@file.pdk]
+  mlv check  <layout-file.mlv> [--pdk uniform|hv6|@file.pdk]
   mlv serve  [--stdio] [--listen <addr>] [--queue-depth <n>]
              [--max-connections <n>] [--cache-capacity <n>]
              [--pdk uniform|hv6|@file.pdk]
@@ -97,10 +97,9 @@ any MLV_THREADS.
 
 `mlv layout --tiled` realizes into the hierarchical tile IR instead of
 flat geometry: a small tile table plus one instance record per wire.
-The report (and `--check`) runs through the streaming walkers, so the
-full grid is never materialized; `--save` materializes on demand —
-byte-identical to the flat realization. `mlv check --tiled` runs the
-streaming checker/metrics over a saved layout.
+The report and `--check` walk the tile instances, so the full grid is
+never materialized; `--save` materializes on demand — byte-identical
+to the flat realization.
 
 `mlv profile` realizes one family through the engine under a trace
 and prints the trace to stdout: per-pass pipeline spans, engine and
@@ -313,10 +312,7 @@ fn cmd_layout(args: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
     if flags.tiled {
-        if pdk.is_some() {
-            return fail("--pdk with a non-uniform stack needs flat geometry; drop --tiled");
-        }
-        return cmd_layout_tiled(&family, layers, &flags);
+        return cmd_layout_tiled(&family, layers, pdk, &flags);
     }
     let mut layout = match flags.active_layers {
         Some(la) if la > 1 => realize_3d(
@@ -387,11 +383,12 @@ fn cmd_layout(args: &[String]) -> ExitCode {
 }
 
 /// `mlv layout --tiled`: realize into the hierarchical tile IR and
-/// report through the streaming walkers — the flat grid is never
+/// report by walking the tile instances — the flat grid is never
 /// materialized unless `--save` asks for it.
 fn cmd_layout_tiled(
     family: &mlv_layout::families::Family,
     layers: usize,
+    pdk: Option<mlv_grid::pdk::Pdk>,
     flags: &Flags,
 ) -> ExitCode {
     use mlv_grid::streaming::StreamSource;
@@ -405,7 +402,7 @@ fn cmd_layout_tiled(
                 layers,
                 active_layers: la,
                 node_side: flags.node_side,
-                pdk: None,
+                pdk: pdk.clone(),
             },
         ),
         _ => mlv_layout::realize_tiled(
@@ -414,18 +411,21 @@ fn cmd_layout_tiled(
                 layers,
                 node_side: flags.node_side,
                 jog_strategy: Default::default(),
-                pdk: None,
+                pdk: pdk.clone(),
             },
         ),
     };
     let m = mlv_grid::streaming::metrics_stream(&tiled);
     let mut legal: Option<bool> = None;
     if flags.check {
-        let r = mlv_grid::check_stream(&tiled, Some(&family.graph));
+        let r = match &pdk {
+            Some(p) => checker::check_with_pdk(&tiled, Some(&family.graph), p),
+            None => checker::check(&tiled, Some(&family.graph)),
+        };
         legal = Some(r.is_legal());
         if !r.is_legal() {
             eprintln!(
-                "streaming legality check FAILED: {:?}",
+                "legality check FAILED: {:?}",
                 &r.errors[..r.errors.len().min(3)]
             );
         }
@@ -469,10 +469,7 @@ fn cmd_layout_tiled(
         );
         println!("  tiled digest {:#018x}", tiled.digest());
         if let Some(ok) = legal {
-            println!(
-                "  streaming legality: {}",
-                if ok { "VERIFIED" } else { "FAILED" }
-            );
+            println!("  legality: {}", if ok { "VERIFIED" } else { "FAILED" });
         }
     }
     if let Some(path) = &flags.save {
@@ -665,13 +662,11 @@ fn cmd_profile(args: &[String]) -> ExitCode {
 /// `mlv check <file>`: load a saved layout and re-run the structural
 /// legality checks (no topology reference).
 fn cmd_check(args: &[String]) -> ExitCode {
-    let mut tiled = false;
     let mut pdk_flag: Option<String> = None;
     let mut path: Option<&String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tiled" => tiled = true,
             "--pdk" => {
                 pdk_flag = Some(match it.next() {
                     Some(v) => v.clone(),
@@ -686,9 +681,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(e) => return fail(e),
     };
-    if tiled && pdk.is_some() {
-        return fail("--pdk with a non-uniform stack needs the full checker; drop --tiled");
-    }
     let Some(path) = path else {
         return fail("missing <layout-file.mlv>");
     };
@@ -700,22 +692,11 @@ fn cmd_check(args: &[String]) -> ExitCode {
         Ok(l) => l,
         Err(e) => return fail(format!("{path}: {e}")),
     };
-    // --tiled drives the streaming checker/metrics over the layout as a
-    // stream source (constant occupancy memory) instead of the full grid
-    let (r, m) = if tiled {
-        (
-            mlv_grid::check_stream(&layout, None),
-            mlv_grid::metrics_stream(&layout),
-        )
-    } else {
-        match &pdk {
-            Some(p) => (
-                checker::check_with_pdk(&layout, None, p),
-                LayoutMetrics::of(&layout),
-            ),
-            None => (checker::check(&layout, None), LayoutMetrics::of(&layout)),
-        }
+    let r = match &pdk {
+        Some(p) => checker::check_with_pdk(&layout, None, p),
+        None => checker::check(&layout, None),
     };
+    let m = LayoutMetrics::of(&layout);
     println!(
         "{}: {} nodes, {} wires, area {}, layers {}",
         layout.name,

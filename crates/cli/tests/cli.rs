@@ -120,3 +120,49 @@ fn sweep_trace_file_and_stdout() {
         .unwrap()
         .starts_with("{\"type\":\"digest\""));
 }
+
+/// `--tiled` threads a non-uniform stack through realization and checks
+/// its direction and pitch rules on the tile instances.
+#[test]
+fn tiled_layout_checks_under_a_non_uniform_pdk() {
+    let out = mlv(&[
+        "layout",
+        "hypercube:4",
+        "--layers",
+        "6",
+        "--tiled",
+        "--pdk",
+        "hv6",
+        "--check",
+    ]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("legality: VERIFIED"), "{stdout}");
+}
+
+/// A saved layout whose one node spans 100001×100001 grid points gets a
+/// verdict; the checker never enumerates the footprint. `mlv check` has
+/// a single checker, so `--tiled` is no longer a flag there.
+#[test]
+fn check_verifies_a_huge_footprint() {
+    let dir = std::env::temp_dir().join(format!("mlv-cli-huge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.mlv");
+    std::fs::write(
+        &path,
+        "mlvlayout 1\nlayout huge layers=2\nnode 0 0 0 100000 100000 layer=0\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    let out = mlv(&["check", file]);
+    let tiled = mlv(&["check", file, "--tiled"]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("area 10000200001"), "{stdout}");
+    assert!(stdout.contains("legality: VERIFIED"), "{stdout}");
+    assert!(!tiled.status.success());
+    assert!(String::from_utf8(tiled.stderr)
+        .unwrap()
+        .contains("unknown flag '--tiled'"));
+}

@@ -12,8 +12,8 @@
 //! 3. [`oracles::prediction_oracle`] — `mlv-formulas` leading-constant
 //!    envelopes;
 //! 4. [`oracles::tiled_oracle`] — tiled-vs-flat differential: the tiled
-//!    IR materializes byte-identically to the flat layout and its
-//!    streaming checker/metrics agree with the full-grid versions;
+//!    IR materializes byte-identically to the flat layout, and the
+//!    checker and metrics give the same results on both;
 //! 5. [`oracles::pdk_oracle`] (PDK axis only, [`Config::pdk_axis`]) —
 //!    the uniform PDK is the identity (fresh realization digest +
 //!    physical metrics match the PDK-free run), the `hv6` stack

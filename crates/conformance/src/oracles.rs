@@ -15,8 +15,8 @@
 //!    the leading-constant envelopes derived from `mlv-formulas`.
 //! 4. [`tiled_oracle`] — the tiled IR differential: materializing the
 //!    tiled realization is byte-identical to the flat layout, and the
-//!    streaming checker/metrics walking the tile instances agree with
-//!    the full-grid checker/metrics.
+//!    checker and metrics walking the tile instances agree with their
+//!    results on the flat layout.
 //! 5. [`pdk_oracle`] (run only with the PDK axis on) — the technology
 //!    differential: the uniform PDK is the identity, the built-in
 //!    `hv6` stack realizes legally under direction/pitch checks, and
@@ -232,10 +232,10 @@ pub fn prediction_oracle(case: &Case, dm: &LayoutMetrics, tm: &LayoutMetrics) ->
 ///
 /// 1. `materialize(tiled)` is **byte-identical** to the flat layout
 ///    (same FNV digest over the canonical serialization);
-/// 2. streaming metrics over the tile instances equal the full-grid
+/// 2. streaming metrics over the tile instances equal the flat
 ///    [`LayoutMetrics`];
-/// 3. the streaming checker's report (errors, order, point totals)
-///    equals the full-grid checker's.
+/// 3. the checker's report (errors, order, point totals) on the tile
+///    instances equals its report on the flat layout.
 pub fn tiled_oracle(case: &Case, direct: &mlv_layout::engine::JobOutcome) -> Vec<String> {
     let mut v = Vec::new();
     let l = case.label.as_str();
@@ -260,21 +260,11 @@ pub fn tiled_oracle(case: &Case, direct: &mlv_layout::engine::JobOutcome) -> Vec
             direct.metrics
         ));
     }
-    let full = checker::check(dl, Some(&case.family.graph));
-    let stream = mlv_grid::streaming::check_stream(&tiled, Some(&case.family.graph));
-    if stream.errors != full.errors {
+    let on_flat = checker::check(dl, Some(&case.family.graph));
+    let on_tiles = checker::check(&tiled, Some(&case.family.graph));
+    if on_tiles != on_flat {
         v.push(format!(
-            "[{l}] streaming checker errors diverge: {} streaming vs {} full (first: {:?} vs {:?})",
-            stream.errors.len(),
-            full.errors.len(),
-            stream.errors.first(),
-            full.errors.first(),
-        ));
-    }
-    if (stream.wire_points, stream.node_points) != (full.wire_points, full.node_points) {
-        v.push(format!(
-            "[{l}] streaming point totals diverge: wires {} vs {}, nodes {} vs {}",
-            stream.wire_points, full.wire_points, stream.node_points, full.node_points
+            "[{l}] checker reports diverge: tiled {on_tiles:?} vs flat {on_flat:?}"
         ));
     }
     v
@@ -288,7 +278,7 @@ pub fn tiled_oracle(case: &Case, direct: &mlv_layout::engine::JobOutcome) -> Vec
 ///    to the PDK-free layout;
 /// 2. [`PhysicalMetrics`] under the uniform stack reduce exactly to the
 ///    grid [`LayoutMetrics`];
-/// 3. the built-in `hv6` stack realizes legally under the full
+/// 3. the built-in `hv6` stack realizes legally under the
 ///    direction/pitch checker ([`checker::check_with_pdk`]);
 /// 4. pitch scaling is exactly linear: tripling every pitch/via cost
 ///    triples wirelength and via cost and multiplies area by 9.

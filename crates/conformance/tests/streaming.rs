@@ -1,14 +1,16 @@
-//! Streaming-vs-full checker differential over the reference corpus.
+//! Checker-vs-reference differential over the reference corpus.
 //!
 //! The reference corpus is every registry example spec realized at the
-//! layer budgets {2, 3, 4, 8} — legal and illegal alike, the streaming
-//! checker walking a layout as a [`mlv_grid::StreamSource`] must
-//! produce *exactly* the report the full-grid checker does: same error
-//! list (values and order), same point totals, same metrics. On top of
-//! the clean corpus, every [`inject::Strategy`] fault is applied to a
-//! known-legal layout and must be caught through the streaming path
-//! with the same `CheckError` kind — and, stronger, the identical
-//! report.
+//! layer budgets {2, 3, 4, 8}. On each layout, legal or not, the
+//! checker must produce *exactly* the report of the naive point-set
+//! reference checker: same error list (values and order), same point
+//! totals — and the streaming metrics must equal the flat metrics. On
+//! top of the clean corpus, every [`inject::Strategy`] fault is applied
+//! to a known-legal layout and must be caught with the expected
+//! `CheckError` kind — and, stronger, with the reference's report.
+
+#[path = "../../grid/tests/support/naive_checker.rs"]
+mod naive_checker;
 
 use mlv_conformance::inject;
 use mlv_core::rng::Rng;
@@ -17,18 +19,16 @@ use mlv_grid::layout::Layout;
 use mlv_grid::metrics::LayoutMetrics;
 use mlv_layout::{families, registry};
 use mlv_topology::Graph;
+use naive_checker::naive_check;
 
-/// Assert the streaming report equals the full-grid report on `layout`
-/// (`CheckReport` carries no `PartialEq`; compare field by field).
+/// Assert the checker's report equals the naive reference's on
+/// `layout`, and the streaming metrics equal the flat ones.
 fn assert_reports_agree(tag: &str, layout: &Layout, graph: Option<&Graph>) {
-    let full = checker::check(layout, graph);
-    let stream = mlv_grid::check_stream(layout, graph);
     assert_eq!(
-        stream.errors, full.errors,
-        "{tag}: streaming error list diverged from full checker"
+        checker::check(layout, graph),
+        naive_check(layout, graph),
+        "{tag}: checker report diverged from the naive reference"
     );
-    assert_eq!(stream.wire_points, full.wire_points, "{tag}: wire points");
-    assert_eq!(stream.node_points, full.node_points, "{tag}: node points");
     assert_eq!(
         mlv_grid::metrics_stream(layout),
         LayoutMetrics::of(layout),
@@ -70,11 +70,11 @@ fn every_injected_fault_caught_identically_through_streaming() {
                 strategy.name()
             );
         };
-        let stream = mlv_grid::check_stream(&mutated, Some(&fam.graph));
-        let kinds: Vec<&'static str> = stream.errors.iter().map(|e| e.kind()).collect();
+        let report = checker::check(&mutated, Some(&fam.graph));
+        let kinds: Vec<&'static str> = report.errors.iter().map(|e| e.kind()).collect();
         assert!(
             kinds.contains(&strategy.expected_kind()),
-            "{} ({}): streaming checker missed {}, saw {kinds:?}",
+            "{} ({}): checker missed {}, saw {kinds:?}",
             strategy.name(),
             done.detail,
             strategy.expected_kind()

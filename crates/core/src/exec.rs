@@ -114,53 +114,6 @@ where
     out
 }
 
-/// Parallel indexed flat-map in sink style: `f` pushes any number of
-/// outputs for its item into a chunk-local buffer (one allocation per
-/// chunk, not per item — and no borrow puzzle about iterators that
-/// capture the item). Output order is input order.
-pub fn par_flat_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, &mut Vec<R>) + Sync,
-{
-    let threads = thread_count();
-    if threads <= 1 || items.len() <= MIN_CHUNK {
-        let mut out = Vec::new();
-        for (i, t) in items.iter().enumerate() {
-            f(i, t, &mut out);
-        }
-        return out;
-    }
-    let chunk = chunk_len(items.len(), threads);
-    let tstack = trace::snapshot();
-    let per_chunk: Vec<Vec<R>> = thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, c)| {
-                let f = &f;
-                let tstack = &tstack;
-                s.spawn(move || {
-                    trace::attach(tstack, || {
-                        let mut buf = Vec::new();
-                        for (i, t) in c.iter().enumerate() {
-                            f(ci * chunk + i, t, &mut buf);
-                        }
-                        buf
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    let mut out = Vec::with_capacity(per_chunk.iter().map(Vec::len).sum());
-    for mut v in per_chunk {
-        out.append(&mut v);
-    }
-    out
-}
-
 /// Parallel indexed **chunk** fan-out: `f` is called once per
 /// contiguous chunk with the chunk's starting index into `items`, and
 /// its output `Vec`s are concatenated **in chunk order**. The
@@ -312,16 +265,6 @@ mod tests {
             let par = with_thread_count(threads, || par_map(&items, |i, x| x * 3 + i as u64));
             assert_eq!(par, seq, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn par_flat_map_matches_sequential() {
-        let items: Vec<u64> = (0..5_000).collect();
-        let seq: Vec<u64> = items.iter().flat_map(|&x| [x, x + 1]).collect();
-        let par = with_thread_count(4, || {
-            par_flat_map(&items, |_, &x, out| out.extend([x, x + 1]))
-        });
-        assert_eq!(par, seq);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! on `std` alone so the whole workspace builds and tests fully offline:
 //!
 //! * [`exec`] — a chunked data-parallel executor over
-//!   [`std::thread::scope`] (`par_map`, `par_flat_map`,
+//!   [`std::thread::scope`] (`par_map`, `par_chunk_map`,
 //!   `par_chunk_reduce`, `par_sort_unstable`), the replacement for rayon
 //!   in the legality checker and metrics hot paths;
 //! * [`rng`] — a seedable SplitMix64/xoshiro256++ PRNG with the same

@@ -20,19 +20,28 @@
 //!    multiset of a reference graph — the layout realizes exactly that
 //!    network.
 //!
-//! Checking is data-parallel over wires (the `mlv-core` scoped-thread
-//! executor): per-wire validation first, then a parallel sort of all
-//! occupied grid points to detect cross-wire conflicts. The executor
-//! recombines chunk results in wire order, so the report is
-//! byte-identical to a sequential check.
+//! [`check_with_pdk`] adds the direction and pitch rules of a
+//! non-uniform technology stack.
+//!
+//! There is one checker, and it reads any [`StreamSource`]: a flat
+//! [`crate::Layout`], or a tiled IR expanded one wire at a time. Its
+//! memory is O(nodes + one occupancy stripe), never O(grid cells):
+//! footprints are looked up in a rectangle index rather than
+//! enumerated, and cross-wire occupancy is sorted in bounded x-stripes
+//! (see [`crate::streaming`]). The per-wire rules run in parallel
+//! batches on the `mlv-core` executor, which recombines results in wire
+//! order, so the report is byte-identical for any thread count.
 
 use crate::geom::Point3;
 use crate::hasher::FxBuildHasher;
-use crate::layout::Layout;
+use crate::layout::NodePlacement;
+use crate::path::WirePath;
 use crate::pdk::Pdk;
+use crate::streaming::{emit_stripe_points, FpIndex, StreamSource};
 use mlv_core::exec;
 use mlv_topology::{Graph, NodeId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// A single legality violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -163,7 +172,7 @@ impl CheckError {
 }
 
 /// Result of a legality check.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckReport {
     /// All violations found (capped at [`CheckReport::ERROR_CAP`]).
     pub errors: Vec<CheckError>,
@@ -183,8 +192,25 @@ impl CheckReport {
     }
 }
 
+/// Points collected per occupancy stripe before the stripe count grows
+/// (~4M points ≈ 128 MB of `(Point3, u32)` records).
+const STRIPE_POINTS: u64 = 1 << 22;
+
+/// Upper bound on occupancy stripes (each stripe is one pass over the
+/// source's wires).
+const MAX_STRIPES: i64 = 4096;
+
+/// Wires per batch of the parallel per-wire scan. A batch holds a copy
+/// of its wires' corners, so its memory is bounded whatever the size of
+/// the source.
+const SCAN_BATCH: usize = 1 << 12;
+
 /// Check a layout; if `reference` is given, additionally verify the
 /// layout realizes exactly that graph.
+///
+/// The report is the same for any source of the same geometry in the
+/// same order — a flat [`crate::Layout`] and its tiled realization give
+/// equal reports.
 ///
 /// ```
 /// use mlv_grid::{checker, Layout, Rect, WirePath, Point3};
@@ -194,67 +220,107 @@ impl CheckReport {
 /// l.add_wire(0, 1, WirePath::new(vec![Point3::new(0, 0, 0), Point3::new(4, 0, 0)]));
 /// assert!(checker::check(&l, None).is_legal());
 /// ```
-pub fn check(layout: &Layout, reference: Option<&Graph>) -> CheckReport {
+pub fn check<S: StreamSource + ?Sized>(src: &S, reference: Option<&Graph>) -> CheckReport {
     let _span = mlv_core::span!("checker.check");
-    let mut errors: Vec<CheckError> = Vec::new();
     let cap = CheckReport::ERROR_CAP;
+    let mut placements: Vec<NodePlacement> = Vec::with_capacity(src.node_count());
+    src.visit_nodes(&mut |n| placements.push(n));
+    let fp = FpIndex::build(&placements);
+    let placed: HashMap<NodeId, i32, FxBuildHasher> =
+        placements.iter().map(|n| (n.node, n.layer)).collect();
 
-    // --- node footprints: pairwise disjoint ---
-    let mut rects: Vec<(usize, &crate::layout::NodePlacement)> =
-        layout.nodes.iter().enumerate().collect();
-    rects.sort_by_key(|(_, n)| (n.layer, n.rect.x0));
-    for i in 0..rects.len() {
-        for j in (i + 1)..rects.len() {
-            if rects[j].1.layer != rects[i].1.layer || rects[j].1.rect.x0 > rects[i].1.rect.x1 {
+    let mut scan = WireScan {
+        rules: WireRules {
+            layers: src.layers() as i32,
+            fp: &fp,
+            placed: &placed,
+        },
+        errors: node_overlaps(&placements),
+        visited: 0,
+        wire_points: 0,
+        x_range: None,
+        multiset: reference.map(|_| BTreeMap::new()),
+        batch: Vec::new(),
+        corners: Vec::new(),
+    };
+    src.visit_wires(&mut |u, v, corners| scan.visit(u, v, corners));
+    scan.flush();
+    let mut errors = scan.errors;
+
+    if let Some(x_range) = scan.x_range {
+        if errors.len() < cap {
+            wire_conflicts(src, x_range, scan.wire_points, &mut errors);
+        }
+    }
+    if let (Some(g), Some(wires)) = (reference, &scan.multiset) {
+        if errors.len() < cap {
+            topology_errors(g, placements.len(), wires, &mut errors);
+        }
+    }
+
+    mlv_core::counter!("checker.checks", 1);
+    mlv_core::counter!("checker.errors", errors.len() as u64);
+    CheckReport {
+        errors,
+        wire_points: scan.wire_points,
+        node_points: placements.iter().map(|n| n.rect.point_count()).sum(),
+    }
+}
+
+/// Pairwise footprint overlaps on a shared layer, in `(layer, x0)`
+/// order, capped at [`CheckReport::ERROR_CAP`].
+fn node_overlaps(placements: &[NodePlacement]) -> Vec<CheckError> {
+    let mut errors = Vec::new();
+    let mut rects: Vec<&NodePlacement> = placements.iter().collect();
+    rects.sort_by_key(|n| (n.layer, n.rect.x0));
+    for (i, a) in rects.iter().enumerate() {
+        for b in &rects[i + 1..] {
+            if b.layer != a.layer || b.rect.x0 > a.rect.x1 {
                 break;
             }
-            if rects[i].1.rect.intersects(&rects[j].1.rect) {
+            if a.rect.intersects(&b.rect) {
                 errors.push(CheckError::NodeOverlap {
-                    a: rects[i].1.node,
-                    b: rects[j].1.node,
+                    a: a.node,
+                    b: b.node,
                 });
-                if errors.len() >= cap {
-                    return finish(layout, errors);
+                if errors.len() >= CheckReport::ERROR_CAP {
+                    return errors;
                 }
             }
         }
     }
+    errors
+}
 
-    // footprint point index for terminal / pass-through checks, keyed
-    // with the active layer (3-D model: stacked nodes are distinct)
-    let mut fp: HashMap<(i64, i64, i32), NodeId, FxBuildHasher> = HashMap::default();
-    for n in &layout.nodes {
-        for x in n.rect.x0..=n.rect.x1 {
-            for y in n.rect.y0..=n.rect.y1 {
-                fp.insert((x, y, n.layer), n.node);
-            }
-        }
-    }
-    let placed: HashMap<NodeId, i32, FxBuildHasher> =
-        layout.nodes.iter().map(|n| (n.node, n.layer)).collect();
+/// What the per-wire rules look up: the layer budget and the nodes.
+struct WireRules<'a> {
+    layers: i32,
+    fp: &'a FpIndex,
+    placed: &'a HashMap<NodeId, i32, FxBuildHasher>,
+}
 
-    // --- per-wire validation (parallel) ---
-    let layers = layout.layers as i32;
-    let per_wire: Vec<Vec<CheckError>> = exec::par_map(&layout.wires, |i, w| {
-        let mut errs = Vec::new();
-        if let Err(e) = w.path.validate() {
-            errs.push(CheckError::BadPath {
+impl WireRules<'_> {
+    /// The per-wire rules — path shape, layer budget, terminals, foreign
+    /// footprints — for wire `i`, appending its errors in order.
+    fn scan(&self, i: usize, u: NodeId, v: NodeId, path: &WirePath, errors: &mut Vec<CheckError>) {
+        if let Err(e) = path.validate() {
+            errors.push(CheckError::BadPath {
                 wire: i,
                 reason: format!("{e:?}"),
             });
-            return errs; // point iteration unsafe on broken paths
+            return; // point iteration unsafe on broken paths
         }
-        for c in w.path.corners() {
-            if c.z < 0 || c.z >= layers {
-                errs.push(CheckError::LayerOutOfRange { wire: i, point: *c });
+        for c in path.corners() {
+            if c.z < 0 || c.z >= self.layers {
+                errors.push(CheckError::LayerOutOfRange { wire: i, point: *c });
             }
         }
-        for (node, pt) in [(w.u, w.path.start()), (w.v, w.path.end())] {
-            match placed.get(&node) {
-                None => errs.push(CheckError::MissingNode { node }),
+        for (node, pt) in [(u, path.start()), (v, path.end())] {
+            match self.placed.get(&node) {
+                None => errors.push(CheckError::MissingNode { node }),
                 Some(&layer) => {
-                    if pt.z != layer || fp.get(&(pt.x, pt.y, layer)) != Some(&node) {
-                        errs.push(CheckError::BadTerminal {
+                    if pt.z != layer || self.fp.query(pt.x, pt.y, layer) != Some(node) {
+                        errors.push(CheckError::BadTerminal {
                             wire: i,
                             node,
                             point: pt,
@@ -263,11 +329,10 @@ pub fn check(layout: &Layout, reference: Option<&Graph>) -> CheckReport {
                 }
             }
         }
-        // active-layer points may only touch own endpoints' footprints
-        for p in w.path.points() {
-            if let Some(&owner) = fp.get(&(p.x, p.y, p.z)) {
-                if owner != w.u && owner != w.v {
-                    errs.push(CheckError::WireThroughNode {
+        for p in path.points() {
+            if let Some(owner) = self.fp.query(p.x, p.y, p.z) {
+                if owner != u && owner != v {
+                    errors.push(CheckError::WireThroughNode {
                         wire: i,
                         node: owner,
                         point: p,
@@ -275,85 +340,162 @@ pub fn check(layout: &Layout, reference: Option<&Graph>) -> CheckReport {
                 }
             }
         }
-        errs
-    });
-    for mut e in per_wire {
-        errors.append(&mut e);
-        if errors.len() >= cap {
-            errors.truncate(cap);
-            return finish(layout, errors);
-        }
     }
+}
 
-    // --- cross-wire point disjointness (parallel sort) ---
-    let mut occupancy: Vec<(Point3, u32)> = exec::par_flat_map(&layout.wires, |i, w, out| {
-        out.extend(w.path.points().map(|p| (p, i as u32)))
-    });
-    exec::par_sort_unstable(&mut occupancy);
-    for pair in occupancy.windows(2) {
-        if pair[0].0 == pair[1].0 {
-            errors.push(CheckError::WireConflict {
-                a: pair[0].1 as usize,
-                b: pair[1].1 as usize,
-                point: pair[0].0,
-            });
-            if errors.len() >= cap {
-                return finish(layout, errors);
+/// The one walk over the source's wires. It totals the wire points,
+/// the x-extent and the endpoint multiset the later phases need, and
+/// runs the per-wire rules on batches of [`SCAN_BATCH`] wires fanned
+/// out over the executor.
+struct WireScan<'a> {
+    rules: WireRules<'a>,
+    errors: Vec<CheckError>,
+    /// Wires visited so far.
+    visited: usize,
+    wire_points: u64,
+    /// `(min, max)` x over every occupied wire point.
+    x_range: Option<(i64, i64)>,
+    /// Wire endpoint pairs (canonical order), kept only when checking
+    /// topology.
+    multiset: Option<BTreeMap<(NodeId, NodeId), usize>>,
+    /// The pending batch: endpoints and corner range per wire.
+    batch: Vec<(NodeId, NodeId, Range<usize>)>,
+    corners: Vec<Point3>,
+}
+
+impl WireScan<'_> {
+    fn visit(&mut self, u: NodeId, v: NodeId, corners: &[Point3]) {
+        self.visited += 1;
+        if let Some(m) = &mut self.multiset {
+            *m.entry(if u <= v { (u, v) } else { (v, u) }).or_insert(0) += 1;
+        }
+        if let Some(&p0) = corners.first() {
+            let (mut lo, mut hi) = self.x_range.unwrap_or((p0.x, p0.x));
+            lo = lo.min(p0.x);
+            hi = hi.max(p0.x);
+            let mut points = 1;
+            for w in corners.windows(2) {
+                let steps = w[0].manhattan(&w[1]);
+                if steps > 0 {
+                    // the segment's points, as enumerated, run from one
+                    // step past `w[0]` to `steps` steps past it
+                    let dx = (w[1].x - w[0].x).signum();
+                    for x in [w[0].x + dx, w[0].x + dx * steps as i64] {
+                        lo = lo.min(x);
+                        hi = hi.max(x);
+                    }
+                }
+                points += steps;
+            }
+            self.x_range = Some((lo, hi));
+            self.wire_points += points;
+        }
+        if self.errors.len() < CheckReport::ERROR_CAP {
+            let start = self.corners.len();
+            self.corners.extend_from_slice(corners);
+            self.batch.push((u, v, start..self.corners.len()));
+            if self.batch.len() == SCAN_BATCH {
+                self.flush();
             }
         }
     }
 
-    // --- topology verification ---
-    if let Some(g) = reference {
-        if layout.nodes.len() != g.node_count() {
-            errors.push(CheckError::TopologyMismatch {
-                detail: format!(
-                    "{} nodes placed, graph has {}",
-                    layout.nodes.len(),
-                    g.node_count()
-                ),
-            });
-        }
-        let wires = layout.wire_multiset();
-        let edges = g.edge_multiset();
-        if wires != edges {
-            let detail = wires
-                .iter()
-                .find(|(k, v)| edges.get(k) != Some(v))
-                .map(|(k, v)| {
-                    format!(
-                        "pair {k:?}: {v} wire(s) vs {} edge(s)",
-                        edges.get(k).copied().unwrap_or(0)
-                    )
-                })
-                .or_else(|| {
-                    edges
-                        .iter()
-                        .find(|(k, _)| !wires.contains_key(k))
-                        .map(|(k, v)| format!("pair {k:?}: 0 wires vs {v} edge(s)"))
-                })
-                .unwrap_or_else(|| "multiset mismatch".to_string());
-            errors.push(CheckError::TopologyMismatch { detail });
-        }
+    /// Scan the pending batch in parallel, appending its errors in wire
+    /// order up to the cap.
+    fn flush(&mut self) {
+        let first = self.visited - self.batch.len();
+        let (rules, corners) = (&self.rules, &self.corners);
+        let mut found = exec::par_chunk_map(&self.batch, exec::MIN_CHUNK, |start, chunk| {
+            let mut errors = Vec::new();
+            let mut buf = Vec::new();
+            for (k, (u, v, range)) in chunk.iter().enumerate() {
+                buf.clear();
+                buf.extend_from_slice(&corners[range.clone()]);
+                let path = WirePath::new(buf);
+                rules.scan(first + start + k, *u, *v, &path, &mut errors);
+                buf = path.into_corners();
+            }
+            errors
+        });
+        self.errors.append(&mut found);
+        self.errors.truncate(CheckReport::ERROR_CAP);
+        self.batch.clear();
+        self.corners.clear();
     }
-
-    finish(layout, errors)
 }
 
-fn finish(layout: &Layout, errors: Vec<CheckError>) -> CheckReport {
-    let wire_points: u64 = exec::par_chunk_reduce(
-        &layout.wires,
-        0u64,
-        |acc, w| acc + w.path.length() + 1,
-        |a, b| a + b,
-    );
-    let node_points: u64 = layout.nodes.iter().map(|n| n.rect.point_count()).sum();
-    mlv_core::counter!("checker.checks", 1);
-    mlv_core::counter!("checker.errors", errors.len() as u64);
-    CheckReport {
-        errors,
-        wire_points,
-        node_points,
+/// Cross-wire point disjointness. The x-range is cut into stripes that
+/// each hold a bounded number of points; each stripe is collected,
+/// sorted and scanned for equal neighbours. Points sort on `x` first,
+/// so the stripes, in order, concatenate to one globally sorted
+/// occupancy sequence and conflicts surface in that order.
+fn wire_conflicts<S: StreamSource + ?Sized>(
+    src: &S,
+    (min_x, max_x): (i64, i64),
+    points: u64,
+    errors: &mut Vec<CheckError>,
+) {
+    let stripes = (points.div_ceil(STRIPE_POINTS) as i64).clamp(1, MAX_STRIPES);
+    let span = max_x - min_x + 1;
+    let width = ((span + stripes - 1) / stripes).max(1);
+    let mut occ: Vec<(Point3, u32)> = Vec::new();
+    let mut lo = min_x;
+    while lo <= max_x {
+        let hi = lo.saturating_add(width).min(max_x + 1);
+        occ.clear();
+        let mut wire = 0u32;
+        src.visit_wires(&mut |_, _, corners| {
+            emit_stripe_points(corners, wire, lo, hi, &mut occ);
+            wire += 1;
+        });
+        exec::par_sort_unstable(&mut occ);
+        for pair in occ.windows(2) {
+            if pair[0].0 == pair[1].0 {
+                errors.push(CheckError::WireConflict {
+                    a: pair[0].1 as usize,
+                    b: pair[1].1 as usize,
+                    point: pair[0].0,
+                });
+                if errors.len() >= CheckReport::ERROR_CAP {
+                    return;
+                }
+            }
+        }
+        lo = hi;
+    }
+}
+
+/// The placed nodes and the wire multiset against the reference graph.
+fn topology_errors(
+    g: &Graph,
+    nodes: usize,
+    wires: &BTreeMap<(NodeId, NodeId), usize>,
+    errors: &mut Vec<CheckError>,
+) {
+    if nodes != g.node_count() {
+        errors.push(CheckError::TopologyMismatch {
+            detail: format!("{nodes} nodes placed, graph has {}", g.node_count()),
+        });
+    }
+    let edges = g.edge_multiset();
+    if *wires != edges {
+        let detail = wires
+            .iter()
+            .find(|(k, v)| edges.get(k) != Some(v))
+            .map(|(k, v)| {
+                format!(
+                    "pair {k:?}: {v} wire(s) vs {} edge(s)",
+                    edges.get(k).copied().unwrap_or(0)
+                )
+            })
+            .or_else(|| {
+                edges
+                    .iter()
+                    .find(|(k, _)| !wires.contains_key(k))
+                    .map(|(k, v)| format!("pair {k:?}: 0 wires vs {v} edge(s)"))
+            })
+            .unwrap_or_else(|| "multiset mismatch".to_string());
+        errors.push(CheckError::TopologyMismatch { detail });
     }
 }
 
@@ -367,10 +509,6 @@ struct PlanarRun {
     lo: i64,
     hi: i64,
     wire: usize,
-    /// Runs whose planar projection covers the wire's own terminal
-    /// position: the 1-unit-spaced stubs along node edges, which the
-    /// pitch rule does not govern.
-    exempt: bool,
 }
 
 /// [`check`] plus the PDK legality rules of a non-uniform stack:
@@ -384,18 +522,30 @@ struct PlanarRun {
 ///
 /// Under a stack where [`Pdk::is_uniform`] holds this is exactly
 /// [`check`] — the identity of the PDK axis.
-pub fn check_with_pdk(layout: &Layout, reference: Option<&Graph>, pdk: &Pdk) -> CheckReport {
-    let mut report = check(layout, reference);
+pub fn check_with_pdk<S: StreamSource + ?Sized>(
+    src: &S,
+    reference: Option<&Graph>,
+    pdk: &Pdk,
+) -> CheckReport {
+    let mut report = check(src, reference);
     if pdk.is_uniform() {
         return report;
     }
     let _span = mlv_core::span!("checker.pdk");
     let cap = CheckReport::ERROR_CAP;
     if report.errors.len() < cap {
-        direction_errors(layout, pdk, &mut report.errors);
-    }
-    if report.errors.len() < cap {
-        pitch_errors(layout, pdk, &mut report.errors);
+        let mut runs: Vec<PlanarRun> = Vec::new();
+        let mut wire = 0usize;
+        src.visit_wires(&mut |_, _, corners| {
+            if report.errors.len() < cap {
+                direction_errors(wire, corners, pdk, &mut report.errors);
+            }
+            pitch_runs(wire, corners, pdk, &mut runs);
+            wire += 1;
+        });
+        if report.errors.len() < cap {
+            pitch_errors(runs, pdk, &mut report.errors);
+        }
     }
     report.errors.truncate(cap);
     mlv_core::counter!("checker.pdk_errors", report.errors.len() as u64);
@@ -404,69 +554,63 @@ pub fn check_with_pdk(layout: &Layout, reference: Option<&Graph>, pdk: &Pdk) -> 
 
 /// Direction rule: every planar run must ride a layer whose preferred
 /// direction allows its axis.
-fn direction_errors(layout: &Layout, pdk: &Pdk, errors: &mut Vec<CheckError>) {
-    let per_wire: Vec<Vec<CheckError>> = exec::par_map(&layout.wires, |i, w| {
-        let mut errs = Vec::new();
-        for pair in w.path.corners().windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a.z != b.z || a.z < 0 {
-                continue; // vias are direction-free; negative layers
-                          // are already LayerOutOfRange
-            }
-            let dir = pdk.layer_at(a.z as usize).dir;
-            if (a.x != b.x && !dir.allows_x()) || (a.y != b.y && !dir.allows_y()) {
-                errs.push(CheckError::DirectionViolation {
-                    wire: i,
-                    layer: a.z,
-                    point: a,
-                });
-            }
+fn direction_errors(wire: usize, corners: &[Point3], pdk: &Pdk, errors: &mut Vec<CheckError>) {
+    for pair in corners.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        if a.z != b.z || a.z < 0 {
+            continue; // vias are direction-free; negative layers
+                      // are already LayerOutOfRange
         }
-        errs
-    });
-    for mut e in per_wire {
-        errors.append(&mut e);
-        if errors.len() >= CheckReport::ERROR_CAP {
-            return;
+        let dir = pdk.layer_at(a.z as usize).dir;
+        if (a.x != b.x && !dir.allows_x()) || (a.y != b.y && !dir.allows_y()) {
+            errors.push(CheckError::DirectionViolation {
+                wire,
+                layer: a.z,
+                point: a,
+            });
         }
     }
 }
 
-/// Pitch rule: parallel same-layer runs (terminal stubs exempt) must be
-/// at least the layer's pitch apart, measured center to center.
-fn pitch_errors(layout: &Layout, pdk: &Pdk, errors: &mut Vec<CheckError>) {
-    let mut runs: Vec<PlanarRun> = exec::par_flat_map(&layout.wires, |i, w, out| {
-        let corners = w.path.corners();
-        let (start, end) = (w.path.start(), w.path.end());
-        for pair in corners.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a.z != b.z || a.z < 0 || (a.x == b.x && a.y == b.y) {
-                continue;
-            }
-            if pdk.layer_at(a.z as usize).pitch <= 1 {
-                continue; // a unit-pitch layer cannot be violated
-            }
-            let (axis, fixed, lo, hi) = if a.y == b.y {
-                (0u8, a.y, a.x.min(b.x), a.x.max(b.x))
-            } else {
-                (1u8, a.x, a.y.min(b.y), a.y.max(b.y))
-            };
-            let covers = |p: Point3| {
-                let (pf, pl) = if axis == 0 { (p.y, p.x) } else { (p.x, p.y) };
-                pf == fixed && (lo..=hi).contains(&pl)
-            };
-            out.push(PlanarRun {
+/// The wire's planar runs the pitch rule governs: runs on layers of
+/// pitch > 1 that do not cover the wire's own terminal positions.
+fn pitch_runs(wire: usize, corners: &[Point3], pdk: &Pdk, runs: &mut Vec<PlanarRun>) {
+    let (Some(&start), Some(&end)) = (corners.first(), corners.last()) else {
+        return;
+    };
+    for pair in corners.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        if a.z != b.z || a.z < 0 || (a.x == b.x && a.y == b.y) {
+            continue;
+        }
+        if pdk.layer_at(a.z as usize).pitch <= 1 {
+            continue; // a unit-pitch layer cannot be violated
+        }
+        let (axis, fixed, lo, hi) = if a.y == b.y {
+            (0u8, a.y, a.x.min(b.x), a.x.max(b.x))
+        } else {
+            (1u8, a.x, a.y.min(b.y), a.y.max(b.y))
+        };
+        let covers = |p: Point3| {
+            let (pf, pl) = if axis == 0 { (p.y, p.x) } else { (p.x, p.y) };
+            pf == fixed && (lo..=hi).contains(&pl)
+        };
+        if !covers(start) && !covers(end) {
+            runs.push(PlanarRun {
                 axis,
                 layer: a.z,
                 fixed,
                 lo,
                 hi,
-                wire: i,
-                exempt: covers(start) || covers(end),
+                wire,
             });
         }
-    });
-    runs.retain(|r| !r.exempt);
+    }
+}
+
+/// Pitch rule: parallel same-layer runs must be at least the layer's
+/// pitch apart, measured center to center.
+fn pitch_errors(mut runs: Vec<PlanarRun>, pdk: &Pdk, errors: &mut Vec<CheckError>) {
     runs.sort_unstable_by_key(|r| (r.layer, r.axis, r.fixed, r.lo));
     for i in 0..runs.len() {
         let a = &runs[i];
@@ -495,12 +639,12 @@ fn pitch_errors(layout: &Layout, pdk: &Pdk, errors: &mut Vec<CheckError>) {
 
 /// Panic with a readable message if the layout is illegal — the standard
 /// assertion used across the test suites.
-pub fn assert_legal(layout: &Layout, reference: Option<&Graph>) {
+pub fn assert_legal<S: StreamSource + ?Sized>(layout: &S, reference: Option<&Graph>) {
     let report = check(layout, reference);
     assert!(
         report.is_legal(),
         "layout '{}' illegal; first errors: {:#?}",
-        layout.name,
+        layout.name(),
         &report.errors[..report.errors.len().min(5)]
     );
 }
@@ -509,7 +653,7 @@ pub fn assert_legal(layout: &Layout, reference: Option<&Graph>) {
 mod tests {
     use super::*;
     use crate::geom::Rect;
-    use crate::path::WirePath;
+    use crate::layout::Layout;
     use mlv_topology::GraphBuilder;
 
     fn two_nodes() -> Layout {
@@ -732,10 +876,8 @@ mod tests {
         use crate::pdk::Pdk;
         let mut l = two_nodes();
         l.add_wire(0, 1, WirePath::new(vec![p(1, 0, 0), p(5, 0, 0)]));
-        let plain = check(&l, None);
         let pdk = check_with_pdk(&l, None, &Pdk::uniform(2));
-        assert_eq!(plain.errors, pdk.errors);
-        assert_eq!(plain.wire_points, pdk.wire_points);
+        assert_eq!(check(&l, None), pdk);
         assert!(pdk.is_legal());
     }
 

@@ -1,9 +1,10 @@
-//! Hashing utilities: a small Fx-style hasher for grid-point occupancy
-//! sets, and the workspace's canonical FNV-1a stream digest.
+//! Hashing utilities: a small Fx-style hasher for the legality
+//! checker's node and layer maps, and the workspace's canonical FNV-1a
+//! stream digest.
 //!
-//! The legality checker hashes tens of millions of `Point3`s; SipHash
-//! (std's default) is needlessly slow for that and HashDoS is not a
-//! concern for a layout checker, so we use the classic
+//! The legality checker looks up a node or a layer for every wire
+//! terminal and every wire point; SipHash (std's default) is needlessly
+//! slow for that, so we use the classic
 //! multiply-and-rotate Fx construction (as used by rustc; see the Rust
 //! Performance Book's Hashing chapter). Implemented locally (~30 lines)
 //! rather than pulling in a crate.

@@ -17,13 +17,18 @@
 //!   and wires in the x–y plane; the **volume** is `L · area`.
 //!
 //! This crate provides the geometry ([`geom`]), wire paths ([`path`]),
-//! the layout container ([`layout`]), a complete legality checker
-//! ([`checker`]), layout metrics ([`metrics`]), the analytic
-//! folded-Thompson baseline ([`fold`]), and ASCII renderers ([`render`])
-//! used to regenerate the paper's figures.
+//! the layout container ([`layout`]), the legality checker
+//! ([`checker`]) over any layout source that can be walked without
+//! materializing it ([`streaming`]), layout metrics ([`metrics`]), the
+//! analytic folded-Thompson baseline ([`fold`]), and ASCII renderers
+//! ([`render`]) used to regenerate the paper's figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+// Lets test code shared with other crates name this crate `mlv_grid`.
+#[cfg(test)]
+extern crate self as mlv_grid;
 
 pub mod analytics;
 pub mod checker;
@@ -45,4 +50,4 @@ pub use layout::{Layout, NodePlacement, Wire};
 pub use metrics::{LayoutMetrics, PhysicalMetrics};
 pub use path::WirePath;
 pub use pdk::{DbUnits, Dir, Pdk, PdkLayer};
-pub use streaming::{check_stream, metrics_stream, StreamSource};
+pub use streaming::{metrics_stream, StreamSource};

@@ -1,58 +1,35 @@
-//! Streaming legality checking and metrics over abstract layout
-//! sources.
+//! Walking a layout without materializing it.
 //!
-//! The full checker ([`crate::checker::check`]) indexes every footprint
-//! grid point in a hash map and sorts every occupied wire point at
-//! once — O(cells) memory, hopeless at 2²⁰ nodes. This module walks a
-//! [`StreamSource`] instead: any producer that can enumerate node
-//! placements and wire corner sequences on demand (the flat
-//! [`Layout`], or a tiled IR that expands each tile instance into a
-//! ~10-corner buffer as it goes). Peak memory is
-//! O(nodes + one occupancy stripe), never O(grid cells):
+//! A [`StreamSource`] is any producer that can enumerate node
+//! placements and wire corner sequences on demand: the flat [`Layout`],
+//! or a tiled IR that expands each tile instance into a ~10-corner
+//! buffer as it goes. The legality checker ([`crate::checker`]) and
+//! [`metrics_stream`] take any source, and the primitives here keep
+//! their memory at O(nodes + one occupancy stripe), never O(grid
+//! cells):
 //!
-//! * the per-point footprint hash map is replaced by a per-layer rect
-//!   index (sorted by `x0`, prefix-max over `x1` for early exit) whose
-//!   later-placement-wins rule reproduces the hash map's
-//!   later-insert-wins semantics point for point;
-//! * cross-wire occupancy is checked in **x-stripes**: the x-range is
-//!   partitioned so each stripe holds a bounded number of points, each
-//!   stripe is collected/sorted/scanned independently, and — because
-//!   [`Point3`]'s lexicographic order sorts on `x` first — the stripe
-//!   concatenation *is* the full checker's globally sorted occupancy
-//!   sequence, so conflicts surface in the identical order.
-//!
-//! The produced [`CheckReport`] (error list, order, truncation at
-//! [`CheckReport::ERROR_CAP`], point totals) is field-for-field equal
-//! to the full checker's on the same geometry; the conformance
-//! harness's tiled-vs-flat differential oracle pins this equivalence
-//! across the seeded lattice.
+//! * `FpIndex` answers "which node's footprint holds this grid point?"
+//!   from the node rectangles alone — footprint area costs nothing, so
+//!   a single 100001×100001 node is as cheap as a 1×1 one;
+//! * `emit_stripe_points` enumerates the grid points of one wire that
+//!   fall inside an x-window, so cross-wire occupancy can be sorted one
+//!   bounded x-stripe at a time.
 
-use crate::checker::{CheckError, CheckReport};
 use crate::geom::{Point3, Rect};
 use crate::hasher::FxBuildHasher;
 use crate::layout::{Layout, NodePlacement};
 use crate::metrics::LayoutMetrics;
-use crate::path::WirePath;
-use mlv_core::exec;
-use mlv_topology::{Graph, NodeId};
-use std::collections::{BTreeMap, HashMap};
-
-/// Points collected per occupancy stripe before the stripe count grows
-/// (~4M points ≈ 100 MB of `(Point3, u32)` records).
-const STRIPE_POINTS: u64 = 1 << 22;
-
-/// Upper bound on occupancy stripes (each stripe is one pass over the
-/// source's wires).
-const MAX_STRIPES: i64 = 4096;
+use mlv_topology::NodeId;
+use std::collections::HashMap;
 
 /// An abstract layout that can be walked without materializing it.
 ///
 /// Implementors enumerate node placements and wire geometry through
 /// callbacks, in the same order a materialized [`Layout`] would store
-/// them — the streaming checker's reports are only byte-identical to
-/// the full checker's when the iteration order matches. Wire corner
-/// slices may be backed by a buffer reused between callback
-/// invocations; callers must not retain them.
+/// them — the checker's report indexes wires by visiting order, so two
+/// sources of the same geometry give the same report only when their
+/// orders match. Wire corner slices may be backed by a buffer reused
+/// between callback invocations; callers must not retain them.
 pub trait StreamSource {
     /// Layout name (diagnostics only).
     fn name(&self) -> &str;
@@ -99,128 +76,125 @@ impl StreamSource for Layout {
     }
 }
 
-/// Per-layer footprint index: rects sorted by `x0` with a running
-/// prefix maximum of `x1`, so a point query scans only the rects whose
-/// x-span can still reach it. Ties (overlapping rects — themselves a
-/// reported violation) resolve to the **latest** placement, matching
-/// the full checker's per-point hash-map inserts where later nodes
-/// overwrite earlier ones.
-struct FpIndex {
-    by_layer: HashMap<i32, LayerRects, FxBuildHasher>,
+/// Per-layer footprint index over node rectangles, O(nodes) memory.
+///
+/// Rectangles sharing one x-span form a *column* (a node column of a
+/// grid layout). Columns are sorted by `x0` with a running prefix
+/// maximum of `x1`, and each column's rectangles by `y0` with a running
+/// prefix maximum of `y1`, so a point query binary-searches both axes
+/// and scans back only over entries that can still reach the point —
+/// O(log nodes) on a grid of disjoint nodes. Where rectangles overlap
+/// (itself a reported violation) the **latest** placement wins, as if
+/// every footprint point had been written into a map in placement
+/// order.
+pub(crate) struct FpIndex {
+    by_layer: HashMap<i32, LayerIndex, FxBuildHasher>,
 }
 
-struct LayerRects {
-    /// `(rect, placement index, node)`, sorted by `(x0, index)`.
-    entries: Vec<(Rect, u32, NodeId)>,
-    /// `prefix_max_x1[j] = max(entries[..=j].x1)`.
-    prefix_max_x1: Vec<i64>,
+#[derive(Default)]
+struct LayerIndex {
+    /// Sorted by `(x0, x1)`.
+    columns: Vec<Column>,
+    /// Every rectangle of the layer, column by column, each column's
+    /// run sorted by `y0`.
+    rows: Vec<Row>,
+}
+
+struct Column {
+    x0: i64,
+    x1: i64,
+    /// `max(x1)` over this column and every column before it.
+    max_x1: i64,
+    /// Start of the column's run in [`LayerIndex::rows`]; the run ends
+    /// where the next column's starts.
+    start: usize,
+}
+
+struct Row {
+    y0: i64,
+    y1: i64,
+    /// `max(y1)` over the column's run up to and including this row.
+    max_y1: i64,
+    /// Placement order, for the latest-placement-wins rule.
+    index: u32,
+    node: NodeId,
 }
 
 impl FpIndex {
-    fn build(placements: &[NodePlacement]) -> FpIndex {
-        let mut by_layer: HashMap<i32, LayerRects, FxBuildHasher> = HashMap::default();
-        for (i, n) in placements.iter().enumerate() {
-            by_layer
-                .entry(n.layer)
-                .or_insert_with(|| LayerRects {
-                    entries: Vec::new(),
-                    prefix_max_x1: Vec::new(),
-                })
-                .entries
-                .push((n.rect, i as u32, n.node));
-        }
-        for lr in by_layer.values_mut() {
-            lr.entries.sort_unstable_by_key(|&(r, i, _)| (r.x0, i));
-            let mut max_x1 = i64::MIN;
-            lr.prefix_max_x1 = lr
-                .entries
-                .iter()
-                .map(|&(r, _, _)| {
-                    max_x1 = max_x1.max(r.x1);
-                    max_x1
-                })
-                .collect();
+    pub(crate) fn build(placements: &[NodePlacement]) -> FpIndex {
+        let mut order: Vec<usize> = (0..placements.len()).collect();
+        order.sort_unstable_by_key(|&i| {
+            let (r, layer) = (placements[i].rect, placements[i].layer);
+            (layer, r.x0, r.x1, r.y0, i)
+        });
+        let mut by_layer: HashMap<i32, LayerIndex, FxBuildHasher> = HashMap::default();
+        for i in order {
+            let (r, n) = (placements[i].rect, &placements[i]);
+            let li = by_layer.entry(n.layer).or_default();
+            let last = li.columns.last();
+            let max_y1 = match last {
+                Some(c) if (c.x0, c.x1) == (r.x0, r.x1) => {
+                    li.rows[li.rows.len() - 1].max_y1.max(r.y1)
+                }
+                _ => {
+                    let max_x1 = last.map_or(r.x1, |c| c.max_x1.max(r.x1));
+                    let start = li.rows.len();
+                    li.columns.push(Column {
+                        x0: r.x0,
+                        x1: r.x1,
+                        max_x1,
+                        start,
+                    });
+                    r.y1
+                }
+            };
+            li.rows.push(Row {
+                y0: r.y0,
+                y1: r.y1,
+                max_y1,
+                index: i as u32,
+                node: n.node,
+            });
         }
         FpIndex { by_layer }
     }
 
-    /// The node owning grid point `(x, y)` on `layer`, if any —
-    /// the latest-placed among all containing footprints.
-    fn query(&self, x: i64, y: i64, layer: i32) -> Option<NodeId> {
-        let lr = self.by_layer.get(&layer)?;
-        let mut j = lr.entries.partition_point(|&(r, _, _)| r.x0 <= x);
-        let mut best: Option<(u32, NodeId)> = None;
-        while j > 0 {
-            j -= 1;
-            if lr.prefix_max_x1[j] < x {
-                break;
+    /// The node owning grid point `(x, y)` on `layer`, if any — the
+    /// latest-placed among all containing footprints.
+    pub(crate) fn query(&self, x: i64, y: i64, layer: i32) -> Option<NodeId> {
+        let li = self.by_layer.get(&layer)?;
+        let mut best: Option<&Row> = None;
+        let mut c = li.columns.partition_point(|col| col.x0 <= x);
+        while c > 0 && li.columns[c - 1].max_x1 >= x {
+            c -= 1;
+            let col = &li.columns[c];
+            if col.x1 < x {
+                continue;
             }
-            let (r, idx, node) = lr.entries[j];
-            if r.contains_xy(x, y) && best.is_none_or(|(b, _)| idx > b) {
-                best = Some((idx, node));
-            }
-        }
-        best.map(|(_, n)| n)
-    }
-}
-
-/// Per-wire structural validation — the exact error sequence the full
-/// checker's parallel per-wire closure produces for wire `i`.
-#[allow(clippy::too_many_arguments)]
-fn scan_wire(
-    i: usize,
-    u: NodeId,
-    v: NodeId,
-    path: &WirePath,
-    layers: i32,
-    fp: &FpIndex,
-    placed: &HashMap<NodeId, i32, FxBuildHasher>,
-    errors: &mut Vec<CheckError>,
-) {
-    if let Err(e) = path.validate() {
-        errors.push(CheckError::BadPath {
-            wire: i,
-            reason: format!("{e:?}"),
-        });
-        return; // point iteration unsafe on broken paths
-    }
-    for c in path.corners() {
-        if c.z < 0 || c.z >= layers {
-            errors.push(CheckError::LayerOutOfRange { wire: i, point: *c });
-        }
-    }
-    for (node, pt) in [(u, path.start()), (v, path.end())] {
-        match placed.get(&node) {
-            None => errors.push(CheckError::MissingNode { node }),
-            Some(&layer) => {
-                if pt.z != layer || fp.query(pt.x, pt.y, layer) != Some(node) {
-                    errors.push(CheckError::BadTerminal {
-                        wire: i,
-                        node,
-                        point: pt,
-                    });
+            let end = li
+                .columns
+                .get(c + 1)
+                .map_or(li.rows.len(), |next| next.start);
+            let rows = &li.rows[col.start..end];
+            let mut r = rows.partition_point(|row| row.y0 <= y);
+            while r > 0 && rows[r - 1].max_y1 >= y {
+                r -= 1;
+                let row = &rows[r];
+                if row.y1 >= y && best.is_none_or(|b| row.index > b.index) {
+                    best = Some(row);
                 }
             }
         }
-    }
-    for p in path.points() {
-        if let Some(owner) = fp.query(p.x, p.y, p.z) {
-            if owner != u && owner != v {
-                errors.push(CheckError::WireThroughNode {
-                    wire: i,
-                    node: owner,
-                    point: p,
-                });
-            }
-        }
+        best.map(|row| row.node)
     }
 }
 
 /// Emit the wire's occupied grid points whose `x` falls in `[lo, hi)`,
 /// tagged with the wire index — the same point sequence
-/// [`WirePath::points`] enumerates, sub-ranged per segment so the cost
-/// is O(corners + emitted points) rather than O(all points).
-fn emit_stripe_points(
+/// [`crate::path::WirePath::points`] enumerates, sub-ranged per segment
+/// so the cost is O(corners + emitted points) rather than O(all
+/// points).
+pub(crate) fn emit_stripe_points(
     corners: &[Point3],
     wire: u32,
     lo: i64,
@@ -261,174 +235,6 @@ fn emit_stripe_points(
                 wire,
             ));
         }
-    }
-}
-
-/// Streaming legality check: the full checker's verdict — same errors,
-/// same order, same [`CheckReport::ERROR_CAP`] truncation, same point
-/// totals — computed without materializing the source.
-pub fn check_stream<S: StreamSource + ?Sized>(src: &S, reference: Option<&Graph>) -> CheckReport {
-    let _span = mlv_core::span!("checker.stream.check");
-    let mut errors: Vec<CheckError> = Vec::new();
-    let cap = CheckReport::ERROR_CAP;
-
-    let mut placements: Vec<NodePlacement> = Vec::with_capacity(src.node_count());
-    src.visit_nodes(&mut |n| placements.push(n));
-
-    // --- node footprints: pairwise disjoint ---
-    let mut rects: Vec<(usize, &NodePlacement)> = placements.iter().enumerate().collect();
-    rects.sort_by_key(|(_, n)| (n.layer, n.rect.x0));
-    for i in 0..rects.len() {
-        for j in (i + 1)..rects.len() {
-            if rects[j].1.layer != rects[i].1.layer || rects[j].1.rect.x0 > rects[i].1.rect.x1 {
-                break;
-            }
-            if rects[i].1.rect.intersects(&rects[j].1.rect) {
-                errors.push(CheckError::NodeOverlap {
-                    a: rects[i].1.node,
-                    b: rects[j].1.node,
-                });
-                if errors.len() >= cap {
-                    return finish_stream(src, &placements, errors);
-                }
-            }
-        }
-    }
-    drop(rects);
-
-    let fp = FpIndex::build(&placements);
-    let placed: HashMap<NodeId, i32, FxBuildHasher> =
-        placements.iter().map(|n| (n.node, n.layer)).collect();
-
-    // --- per-wire validation (sequential; error order matches the
-    // full checker's in-order chunk recombination) ---
-    let layers = src.layers() as i32;
-    let mut buf: Vec<Point3> = Vec::with_capacity(16);
-    let mut widx = 0usize;
-    let (mut min_x, mut max_x) = (i64::MAX, i64::MIN);
-    let mut total_points: u64 = 0;
-    let mut multiset: BTreeMap<(NodeId, NodeId), usize> = BTreeMap::new();
-    let mut capped = false;
-    src.visit_wires(&mut |u, v, corners| {
-        let i = widx;
-        widx += 1;
-        if capped {
-            return;
-        }
-        for c in corners {
-            min_x = min_x.min(c.x);
-            max_x = max_x.max(c.x);
-        }
-        if reference.is_some() {
-            let key = if u <= v { (u, v) } else { (v, u) };
-            *multiset.entry(key).or_insert(0) += 1;
-        }
-        let mut b = std::mem::take(&mut buf);
-        b.clear();
-        b.extend_from_slice(corners);
-        let path = WirePath::new(b);
-        total_points += path.length() + 1;
-        scan_wire(i, u, v, &path, layers, &fp, &placed, &mut errors);
-        buf = path.into_corners();
-        if errors.len() >= cap {
-            errors.truncate(cap);
-            capped = true;
-        }
-    });
-    if capped {
-        return finish_stream(src, &placements, errors);
-    }
-
-    // --- cross-wire point disjointness (x-striped) ---
-    if widx > 0 && total_points > 0 {
-        let stripes = (total_points.div_ceil(STRIPE_POINTS) as i64).min(MAX_STRIPES);
-        let span = max_x - min_x + 1;
-        let width = ((span + stripes - 1) / stripes).max(1);
-        let mut occ: Vec<(Point3, u32)> = Vec::new();
-        let mut stripe_lo = min_x;
-        while stripe_lo <= max_x {
-            let stripe_hi = stripe_lo.saturating_add(width).min(max_x + 1);
-            occ.clear();
-            let mut wi = 0u32;
-            src.visit_wires(&mut |_, _, corners| {
-                emit_stripe_points(corners, wi, stripe_lo, stripe_hi, &mut occ);
-                wi += 1;
-            });
-            exec::par_sort_unstable(&mut occ);
-            for pair in occ.windows(2) {
-                if pair[0].0 == pair[1].0 {
-                    errors.push(CheckError::WireConflict {
-                        a: pair[0].1 as usize,
-                        b: pair[1].1 as usize,
-                        point: pair[0].0,
-                    });
-                    if errors.len() >= cap {
-                        return finish_stream(src, &placements, errors);
-                    }
-                }
-            }
-            stripe_lo = stripe_hi;
-        }
-    }
-
-    // --- topology verification ---
-    if let Some(g) = reference {
-        if placements.len() != g.node_count() {
-            errors.push(CheckError::TopologyMismatch {
-                detail: format!(
-                    "{} nodes placed, graph has {}",
-                    placements.len(),
-                    g.node_count()
-                ),
-            });
-        }
-        let edges = g.edge_multiset();
-        if multiset != edges {
-            let detail = multiset
-                .iter()
-                .find(|(k, v)| edges.get(k) != Some(v))
-                .map(|(k, v)| {
-                    format!(
-                        "pair {k:?}: {v} wire(s) vs {} edge(s)",
-                        edges.get(k).copied().unwrap_or(0)
-                    )
-                })
-                .or_else(|| {
-                    edges
-                        .iter()
-                        .find(|(k, _)| !multiset.contains_key(k))
-                        .map(|(k, v)| format!("pair {k:?}: 0 wires vs {v} edge(s)"))
-                })
-                .unwrap_or_else(|| "multiset mismatch".to_string());
-            errors.push(CheckError::TopologyMismatch { detail });
-        }
-    }
-
-    finish_stream(src, &placements, errors)
-}
-
-fn finish_stream<S: StreamSource + ?Sized>(
-    src: &S,
-    placements: &[NodePlacement],
-    errors: Vec<CheckError>,
-) -> CheckReport {
-    // raw corner windows: zero-length segments contribute 0, so the sum
-    // equals the deduplicated WirePath length the full checker totals
-    let mut wire_points: u64 = 0;
-    src.visit_wires(&mut |_, _, corners| {
-        if corners.is_empty() {
-            return;
-        }
-        let len: u64 = corners.windows(2).map(|w| w[0].manhattan(&w[1])).sum();
-        wire_points += len + 1;
-    });
-    let node_points: u64 = placements.iter().map(|n| n.rect.point_count()).sum();
-    mlv_core::counter!("checker.stream.checks", 1);
-    mlv_core::counter!("checker.stream.errors", errors.len() as u64);
-    CheckReport {
-        errors,
-        wire_points,
-        node_points,
     }
 }
 
@@ -486,11 +292,16 @@ pub fn metrics_stream<S: StreamSource + ?Sized>(src: &S) -> LayoutMetrics {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/naive_checker.rs"]
+mod naive_checker;
+
+#[cfg(test)]
 mod tests {
+    use super::naive_checker::naive_check;
     use super::*;
-    use crate::checker;
+    use crate::checker::{check, CheckReport};
     use crate::path::WirePath;
-    use mlv_topology::GraphBuilder;
+    use mlv_topology::{Graph, GraphBuilder};
 
     fn p(x: i64, y: i64, z: i32) -> Point3 {
         Point3::new(x, y, z)
@@ -504,11 +315,7 @@ mod tests {
     }
 
     fn assert_reports_equal(l: &Layout, reference: Option<&Graph>) {
-        let full = checker::check(l, reference);
-        let stream = check_stream(l, reference);
-        assert_eq!(stream.errors, full.errors);
-        assert_eq!(stream.wire_points, full.wire_points);
-        assert_eq!(stream.node_points, full.node_points);
+        assert_eq!(check(l, reference), naive_check(l, reference));
     }
 
     #[test]
@@ -516,12 +323,12 @@ mod tests {
         let mut l = two_nodes();
         l.add_wire(0, 1, WirePath::new(vec![p(1, 0, 0), p(5, 0, 0)]));
         assert_reports_equal(&l, None);
-        assert!(check_stream(&l, None).is_legal());
+        assert!(check(&l, None).is_legal());
     }
 
     #[test]
     fn every_defect_class_agrees_with_full_checker() {
-        // one layout per defect class, streaming vs full report equality
+        // one layout per defect class, checker vs naive reference
         let mut overlap = two_nodes();
         overlap.place_node(2, Rect::new(1, 1, 2, 2));
         assert_reports_equal(&overlap, None);
@@ -556,8 +363,11 @@ mod tests {
         missing.add_wire(0, 9, WirePath::new(vec![p(1, 0, 0), p(5, 0, 0)]));
         assert_reports_equal(&missing, None);
 
+        // a diagonal segment's enumerated points overshoot its corners'
+        // x-range: both wires reach (6, 5) though no corner has x = 6
         let mut diagonal = two_nodes();
         diagonal.add_wire(0, 1, WirePath::new(vec![p(1, 0, 0), p(5, 1, 0)]));
+        diagonal.add_wire(0, 1, WirePath::new(vec![p(2, 1, 0), p(5, 4, 0)]));
         assert_reports_equal(&diagonal, None);
     }
 
@@ -580,15 +390,14 @@ mod tests {
     #[test]
     fn error_cap_truncation_matches() {
         // dozens of pairwise-overlapping nodes overflow the cap in the
-        // overlap phase; streaming must truncate at the same boundary
+        // overlap phase; the checker must truncate at the same boundary
         let mut l = Layout::new("cap", 2);
         for i in 0..20 {
             l.place_node(i, Rect::new(0, 0, 3, 3));
         }
-        let full = checker::check(&l, None);
-        let stream = check_stream(&l, None);
-        assert_eq!(full.errors.len(), CheckReport::ERROR_CAP);
-        assert_eq!(stream.errors, full.errors);
+        let r = check(&l, None);
+        assert_eq!(r.errors.len(), CheckReport::ERROR_CAP);
+        assert_eq!(r, naive_check(&l, None));
     }
 
     #[test]
@@ -627,13 +436,58 @@ mod tests {
                 rect: Rect::new(2, 2, 6, 6),
                 layer: 0,
             },
+            // same column as node 3, placed later, overlapping it
+            NodePlacement {
+                node: 5,
+                rect: Rect::new(0, 4, 4, 8),
+                layer: 0,
+            },
         ];
         let fp = FpIndex::build(&placements);
         assert_eq!(fp.query(1, 1, 0), Some(3));
         assert_eq!(fp.query(3, 3, 0), Some(9)); // overlap: later wins
         assert_eq!(fp.query(5, 5, 0), Some(9));
+        assert_eq!(fp.query(1, 4, 0), Some(5));
+        assert_eq!(fp.query(4, 4, 0), Some(5));
         assert_eq!(fp.query(3, 3, 1), None);
         assert_eq!(fp.query(7, 3, 0), None);
+    }
+
+    #[test]
+    fn fp_index_agrees_with_point_map_on_a_grid() {
+        // a 6x5 grid of 3x3 nodes with one stray overlapping rect: every
+        // point of the bounding box resolves like a placement-order map
+        let mut placements = Vec::new();
+        for c in 0..6 {
+            for r in 0..5 {
+                placements.push(NodePlacement {
+                    node: (c * 5 + r) as NodeId,
+                    rect: Rect::new(c * 5, r * 4, c * 5 + 2, r * 4 + 2),
+                    layer: (c % 2) as i32,
+                });
+            }
+        }
+        placements.push(NodePlacement {
+            node: 99,
+            rect: Rect::new(4, 1, 11, 6),
+            layer: 0,
+        });
+        let mut owner = std::collections::HashMap::new();
+        for n in &placements {
+            for x in n.rect.x0..=n.rect.x1 {
+                for y in n.rect.y0..=n.rect.y1 {
+                    owner.insert((x, y, n.layer), n.node);
+                }
+            }
+        }
+        let fp = FpIndex::build(&placements);
+        for z in 0..3 {
+            for x in -1..32 {
+                for y in -1..22 {
+                    assert_eq!(fp.query(x, y, z), owner.get(&(x, y, z)).copied());
+                }
+            }
+        }
     }
 
     #[test]

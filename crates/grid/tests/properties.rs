@@ -192,9 +192,7 @@ mlv_proptest! {
         let seq = mlv_core::exec::with_thread_count(1, || check(&l, None));
         for threads in [2usize, 4, 8] {
             let par = mlv_core::exec::with_thread_count(threads, || check(&l, None));
-            prop_assert_eq!(&par.errors, &seq.errors, "threads = {}", threads);
-            prop_assert_eq!(par.wire_points, seq.wire_points);
-            prop_assert_eq!(par.node_points, seq.node_points);
+            prop_assert_eq!(&par, &seq, "threads = {}", threads);
         }
     }
 

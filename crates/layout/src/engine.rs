@@ -97,7 +97,7 @@ impl Job {
 pub enum CheckStatus {
     /// Checking was not requested ([`EngineOptions::check`] = false).
     Skipped,
-    /// The full checker passed against the job's reference graph.
+    /// The checker passed against the job's reference graph.
     Legal,
     /// The checker found errors; the summary holds the first few,
     /// `Debug`-formatted.

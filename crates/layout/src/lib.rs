@@ -27,7 +27,7 @@
 //!    groups, group `g`'s x-runs go to layer `2g` and its y-runs to
 //!    layer `2g+1` (the paper's odd/even layer assignment), terminals
 //!    are ordered so that touching same-track wires never collide, and
-//!    the result passes the full `mlv-grid` legality checker.
+//!    the result passes the `mlv-grid` legality checker.
 //! 5. [`families`] wires it all together, one constructor per network
 //!    family, each returning the reference graph and a checker-clean
 //!    layout.

@@ -24,8 +24,8 @@
 //! [`crate::realize::realize`] by construction — the conformance
 //! harness's tiled-vs-flat differential oracle pins this. For
 //! verification at scales where materializing is hopeless, the IR
-//! implements [`mlv_grid::streaming::StreamSource`]: the streaming
-//! checker and metrics walk tile instances expanding one ~10-corner
+//! implements [`mlv_grid::streaming::StreamSource`]: the checker and
+//! the streaming metrics walk tile instances expanding one ~10-corner
 //! buffer at a time.
 
 use crate::realize::RealizeOptions;
@@ -436,13 +436,19 @@ pub fn realize_tiled_3d(spec: &OrthogonalSpec, opts: &Realize3dOptions) -> Tiled
 }
 
 #[cfg(test)]
+#[path = "../../grid/tests/support/naive_checker.rs"]
+mod naive_checker;
+
+#[cfg(test)]
 mod tests {
+    use super::naive_checker::naive_check;
     use super::*;
     use crate::engine::layout_digest;
     use crate::families;
     use crate::realize::realize;
-    use mlv_grid::streaming::{check_stream, metrics_stream};
-    use mlv_grid::{checker, LayoutMetrics};
+    use mlv_grid::checker::check;
+    use mlv_grid::streaming::metrics_stream;
+    use mlv_grid::LayoutMetrics;
 
     #[test]
     fn materialize_is_byte_identical_to_flat_realization() {
@@ -490,12 +496,9 @@ mod tests {
         let tiled = realize_tiled(&fam.spec, &RealizeOptions::with_layers(4));
         let flat = tiled.materialize();
         assert_eq!(metrics_stream(&tiled), LayoutMetrics::of(&flat));
-        let full = checker::check(&flat, Some(&fam.graph));
-        let stream = check_stream(&tiled, Some(&fam.graph));
-        assert!(stream.is_legal(), "{:?}", stream.errors);
-        assert_eq!(stream.errors, full.errors);
-        assert_eq!(stream.wire_points, full.wire_points);
-        assert_eq!(stream.node_points, full.node_points);
+        let report = check(&tiled, Some(&fam.graph));
+        assert!(report.is_legal(), "{:?}", report.errors);
+        assert_eq!(report, naive_check(&flat, Some(&fam.graph)));
     }
 
     #[test]
@@ -514,8 +517,8 @@ mod tests {
             .tiles
             .iter()
             .any(|t| matches!(t, TileShape::Riser { .. })));
-        let stream = check_stream(&tiled, Some(&fam.graph));
-        assert!(stream.is_legal(), "{:?}", stream.errors);
+        let report = check(&tiled, Some(&fam.graph));
+        assert!(report.is_legal(), "{:?}", report.errors);
     }
 
     #[test]

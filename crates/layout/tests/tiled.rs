@@ -3,13 +3,15 @@
 //! in the pool, materializing the tiled IR must serialize to exactly
 //! the bytes the flat realizer emits — pinned via the engine's FNV
 //! layout digest, under both the sequential and the parallel emit
-//! paths (`MLV_THREADS` 1 vs 8).
+//! paths (`MLV_THREADS` 1 vs 8). Under a non-uniform PDK the checker
+//! gives the same report on the tiled IR as on its materialization.
 //!
 //! The fresh-allocation variant of the same sweep lives in
 //! `tests/tiled_fresh_alloc.rs` (its own binary: `MLV_FRESH_ALLOC` is
 //! process-global).
 
 use mlv_core::rng::Rng;
+use mlv_grid::checker::check_with_pdk;
 use mlv_layout::engine::layout_digest;
 use mlv_layout::registry::{self, LAYER_POOL};
 use mlv_layout::RealizeOptions;
@@ -55,4 +57,22 @@ fn lattice_materialize_matches_flat_parallel() {
     // sequential path plus thread-count independence of the pipeline
     let checked = mlv_core::exec::with_thread_count(8, sweep_identity);
     assert!(checked >= LAYER_POOL.len(), "lattice sweep was empty");
+}
+
+/// A non-uniform stack threads through tiled realization, and the
+/// direction/pitch checker gives the same report on the tile instances
+/// as on the materialized layout.
+#[test]
+fn pdk_check_of_tiled_ir_matches_materialized_layout() {
+    let fam = mlv_layout::families::hypercube(4);
+    let hv6 = mlv_grid::Pdk::hv6();
+    let mut opts = RealizeOptions::with_layers(6);
+    opts.pdk = Some(hv6.clone());
+    let tiled = mlv_layout::realize_tiled(&fam.spec, &opts);
+    let report = check_with_pdk(&tiled, Some(&fam.graph), &hv6);
+    assert!(report.is_legal(), "{:?}", report.errors);
+    assert_eq!(
+        report,
+        check_with_pdk(&tiled.materialize(), Some(&fam.graph), &hv6)
+    );
 }
