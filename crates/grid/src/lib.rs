@@ -41,6 +41,7 @@ pub mod metrics;
 pub mod path;
 pub mod pdk;
 pub mod render;
+mod runs;
 pub mod streaming;
 pub mod svg;
 

@@ -2,11 +2,12 @@
 //!
 //! A wire is a polyline through the 3-D grid whose segments run along
 //! grid lines. We store only the **corner points** (including both
-//! endpoints); unit grid points are enumerated on demand for occupancy
-//! checking. Layer changes (z-segments) are the model's inter-layer
-//! *vias*.
+//! endpoints); the checks split a path into its maximal straight runs
+//! and never enumerate its grid points. Layer changes (z-segments) are
+//! the model's inter-layer *vias*.
 
 use crate::geom::Point3;
+use crate::runs;
 
 /// A rectilinear path stored as its corner sequence.
 ///
@@ -122,23 +123,22 @@ impl WirePath {
         first.chain(rest)
     }
 
-    /// Validate the structural invariants.
+    /// Validate the structural invariants. The self-intersection test
+    /// compares the path's straight runs, so it costs O(c log c) for `c`
+    /// corners however long the segments are, and names the first point
+    /// that [`WirePath::points`] yields twice.
     pub fn validate(&self) -> Result<(), PathError> {
         if self.corners.is_empty() {
             return Err(PathError::Empty);
         }
-        for (i, w) in self.corners.windows(2).enumerate() {
-            if !w[0].is_axis_aligned_with(&w[1]) {
-                return Err(PathError::NotAxisAligned(i));
-            }
+        let mut path = Vec::new();
+        if let Some(i) = runs::split(&self.corners, 0, &mut path, &mut Vec::new()) {
+            return Err(PathError::NotAxisAligned(i));
         }
-        let mut seen = std::collections::HashSet::with_capacity(self.length() as usize + 1);
-        for p in self.points() {
-            if !seen.insert(p) {
-                return Err(PathError::SelfIntersection(p));
-            }
+        match runs::first_revisit(&path, &mut Vec::new()) {
+            Some(c) => Err(PathError::SelfIntersection(runs::point(c))),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

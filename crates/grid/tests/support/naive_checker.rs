@@ -3,18 +3,21 @@
 //!
 //! It checks the eight structural rules the obvious way, sequentially
 //! over a materialized [`Layout`]: every footprint grid point goes into
-//! a hash map, every occupied wire point into one sorted vector. Memory
-//! is O(footprint area + wire points), so it suits small layouts only —
-//! its worth is that it is easy to trust. Its report (errors, their
+//! a hash map, every occupied wire point into one sorted vector, and
+//! each wire's points into a set to find the first one it revisits.
+//! Memory is O(footprint area + wire points), so it suits small layouts
+//! only — its worth is that it is easy to trust, and that it shares no
+//! code with the run-based checker it judges. Its report (errors, their
 //! order, the cap, the point totals) must equal the real checker's.
 //!
 //! This file is not a test target of its own. Test code includes it
 //! with `#[path = "…/naive_checker.rs"] mod naive_checker;`; inside
 //! `mlv-grid` the crate is in scope under its own name for tests.
 
-use mlv_grid::{CheckError, CheckReport, Layout, NodePlacement, Point3};
+use mlv_grid::path::PathError;
+use mlv_grid::{CheckError, CheckReport, Layout, NodePlacement, Point3, WirePath};
 use mlv_topology::{Graph, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Check `layout` against the structural rules and, if `reference` is
 /// given, against the graph's edge multiset.
@@ -24,6 +27,19 @@ pub fn naive_check(layout: &Layout, reference: Option<&Graph>) -> CheckReport {
         wire_points: layout.wires.iter().map(|w| w.path.length() + 1).sum(),
         node_points: layout.nodes.iter().map(|n| n.rect.point_count()).sum(),
     }
+}
+
+/// The path rules point by point: the first segment that is not
+/// axis-aligned, else the first point the walk visits twice.
+fn path_error(path: &WirePath) -> Option<PathError> {
+    let mut segments = path.corners().windows(2);
+    if let Some(i) = segments.position(|w| !w[0].is_axis_aligned_with(&w[1])) {
+        return Some(PathError::NotAxisAligned(i));
+    }
+    let mut seen = HashSet::new();
+    path.points()
+        .find(|p| !seen.insert(*p))
+        .map(PathError::SelfIntersection)
 }
 
 fn naive_errors(layout: &Layout, reference: Option<&Graph>) -> Vec<CheckError> {
@@ -60,7 +76,7 @@ fn naive_errors(layout: &Layout, reference: Option<&Graph>) -> Vec<CheckError> {
 
     let layers = layout.layers as i32;
     for (i, w) in layout.wires.iter().enumerate() {
-        if let Err(e) = w.path.validate() {
+        if let Some(e) = path_error(&w.path) {
             errors.push(CheckError::BadPath {
                 wire: i,
                 reason: format!("{e:?}"),
