@@ -3,7 +3,7 @@
 //! stream digest.
 //!
 //! The legality checker looks up a node or a layer for every wire
-//! terminal and every wire point; SipHash (std's default) is needlessly
+//! terminal and every wire run; SipHash (std's default) is needlessly
 //! slow for that, so we use the classic
 //! multiply-and-rotate Fx construction (as used by rustc; see the Rust
 //! Performance Book's Hashing chapter). Implemented locally (~30 lines)
