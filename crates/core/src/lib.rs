@@ -4,10 +4,10 @@
 //! reproduction previously pulled from crates.io lives here, implemented
 //! on `std` alone so the whole workspace builds and tests fully offline:
 //!
-//! * [`exec`] — a chunked data-parallel executor over
-//!   [`std::thread::scope`] (`par_map`, `par_chunk_map`,
-//!   `par_chunk_reduce`, `par_sort_unstable`), the replacement for rayon
-//!   in the legality checker and metrics hot paths;
+//! * [`exec`] — a data-parallel map over [`std::thread::scope`]
+//!   ([`exec::par_map`]), the replacement for rayon. It fans out once,
+//!   over the jobs of an engine batch or the cases of a conformance
+//!   stage; everything inside one job runs on its worker's thread;
 //! * [`rng`] — a seedable SplitMix64/xoshiro256++ PRNG with the same
 //!   deterministic-seed contract the topology generators relied on from
 //!   `StdRng::seed_from_u64`;
@@ -26,8 +26,8 @@
 //!   and propagated through the executor.
 //!
 //! Determinism is a design rule throughout: parallel results are
-//! combined in input order, so every parallel entry point returns
-//! byte-identical output to its sequential equivalent — and the trace
+//! combined in input order, so the parallel map returns byte-identical
+//! output to its sequential equivalent — and the trace
 //! subsystem's deterministic rendering is byte-identical for any
 //! thread count.
 

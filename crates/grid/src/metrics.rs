@@ -14,7 +14,6 @@
 
 use crate::layout::Layout;
 use crate::pdk::{DbUnits, Pdk};
-use mlv_core::exec;
 use mlv_topology::routing::max_route_cost;
 use mlv_topology::Graph;
 
@@ -54,15 +53,11 @@ impl LayoutMetrics {
             None => (0, 0),
         };
         let area = width * height;
-        let (max_wire_planar, max_wire_full, total_wire, via_count) = exec::par_chunk_reduce(
-            &layout.wires,
-            (0, 0, 0, 0),
-            |a, w| {
+        let (max_wire_planar, max_wire_full, total_wire, via_count) =
+            layout.wires.iter().fold((0, 0, 0, 0), |a, w| {
                 let (planar, full, vias) = w.path.stats();
                 (a.0.max(planar), a.1.max(full), a.2 + full, a.3 + vias)
-            },
-            |a, b| (a.0.max(b.0), a.1.max(b.1), a.2 + b.2, a.3 + b.3),
-        );
+            });
         LayoutMetrics {
             width,
             height,
@@ -176,13 +171,11 @@ impl PhysicalMetrics {
             }
             Some((planar, vias))
         };
-        // `None` poisons the whole reduction; both closures short-circuit
-        // on it, so one overflowing wire fails the batch deterministically.
-        let reduced = exec::par_chunk_reduce(
-            &layout.wires,
-            Some((0u64, 0u64, 0u64)),
-            |acc, w| {
-                let (total, longest, via_total) = acc?;
+        // the first overflowing wire stops the fold and fails the whole layout
+        let (wirelength, max_wire, via_cost) = layout
+            .wires
+            .iter()
+            .try_fold((0u64, 0u64, 0u64), |(total, longest, via_total), w| {
                 let (planar, vias) = wire_cost(w)?;
                 let full = planar.checked_add(vias)?;
                 Some((
@@ -190,14 +183,8 @@ impl PhysicalMetrics {
                     longest.max(full),
                     via_total.checked_add(vias)?,
                 ))
-            },
-            |a, b| {
-                let (a0, a1, a2) = a?;
-                let (b0, b1, b2) = b?;
-                Some((a0.checked_add(b0)?, a1.max(b1), a2.checked_add(b2)?))
-            },
-        );
-        let (wirelength, max_wire, via_cost) = reduced.ok_or_else(overflow)?;
+            })
+            .ok_or_else(overflow)?;
         Ok(PhysicalMetrics {
             pdk: pdk.name.clone(),
             width,

@@ -11,7 +11,8 @@
 //! * **Fan-out** — jobs are realized on `mlv_core::exec`'s
 //!   scoped-thread executor (`MLV_THREADS`-aware), one leader per
 //!   distinct spec; results come back **in job order** regardless of
-//!   thread count.
+//!   thread count. This is the only level that fans out: each job's
+//!   passes, metrics and check run on its worker's thread.
 //! * **Memoization** — each job is keyed by an FNV-1a digest of its
 //!   canonical spec content plus the layer budget
 //!   ([`mlv_grid::hasher::fnv1a`]). Repeated specs — common in sweeps,

@@ -11,20 +11,18 @@
 //! with the tiled-IR producer ([`run_tiled`]), so the flat and tiled
 //! backends are byte-identical by construction.
 //!
-//! Wire construction is embarrassingly parallel — each path depends
-//! only on its own wire's scratch columns — so above
-//! [`super::par_wire_threshold`] the pass fans the wire loop out over
-//! [`mlv_core::exec`] in index chunks and concatenates in order; the
-//! emitted geometry is byte-identical to the sequential path, which
-//! additionally recycles pooled corner buffers from the scratch.
+//! The wire loop runs on the calling thread and recycles pooled corner
+//! buffers from the scratch. A realization is one engine job, and the
+//! engine already runs one job per worker, so the loop does not fan
+//! out: a second thread bought nothing even at `hypercube:14`
+//! (114,688 wires).
 
 use super::geometry::Resolver;
 use super::{PassConfig, PassContext};
 use crate::arena::Scratch;
 use crate::spec::OrthogonalSpec;
 use crate::tiled::{TileInstance, TiledLayout};
-use mlv_core::exec;
-use mlv_grid::geom::{Point3, Rect};
+use mlv_grid::geom::Rect;
 use mlv_grid::layout::{Layout, Wire};
 use mlv_grid::path::WirePath;
 
@@ -87,7 +85,7 @@ pub(crate) fn run(
         }
     }
 
-    // split the scratch so the shared-ref wire builder and the mutable
+    // split the scratch so the shared-ref wire resolver and the mutable
     // corner-buffer pool can coexist
     let Scratch {
         kinds,
@@ -114,35 +112,22 @@ pub(crate) fn run(
         xscale: ctx.xscale,
         yscale: ctx.yscale,
     };
-    let build = |ki: usize, mut corners: Vec<Point3>| -> Wire {
+    for ki in 0..kinds.len() {
+        let mut corners = match path_pool.pop() {
+            Some(mut v) => {
+                v.clear();
+                v
+            }
+            None => Vec::with_capacity(10),
+        };
         let g = resolver.resolve(ki);
         g.shape
             .extend_corners(g.ax, g.ay, g.bx, g.by, g.t1, g.t2, &mut corners);
-        Wire {
+        layout.wires.push(Wire {
             u: g.u,
             v: g.v,
             path: WirePath::new(corners),
-        }
-    };
-
-    if kinds.len() >= super::par_wire_threshold() && exec::thread_count() > 1 {
-        let built = exec::par_chunk_map(kinds, 1, |start, chunk| {
-            (0..chunk.len())
-                .map(|j| build(start + j, Vec::with_capacity(10)))
-                .collect()
         });
-        layout.wires.extend(built);
-    } else {
-        for ki in 0..kinds.len() {
-            let corners = match path_pool.pop() {
-                Some(mut v) => {
-                    v.clear();
-                    v
-                }
-                None => Vec::with_capacity(10),
-            };
-            layout.wires.push(build(ki, corners));
-        }
     }
     layout
 }

@@ -49,20 +49,6 @@ use crate::spec::OrthogonalSpec;
 use mlv_grid::layout::Layout;
 use mlv_grid::pdk::{Dir, Pdk};
 
-/// Wire count above which the placement/emit passes fan out
-/// intra-layout over `mlv_core::exec` (sorting terminal items and
-/// interval records, building wire paths per chunk). Below it the
-/// sequential paths — which also recycle pooled buffers — win.
-/// `MLV_PAR_WIRES` overrides (CI sets `MLV_PAR_WIRES=1` to force the
-/// parallel paths and `cmp` their output against sequential runs).
-pub(crate) fn par_wire_threshold() -> usize {
-    std::env::var("MLV_PAR_WIRES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(10_000)
-}
-
 /// Pipeline configuration shared by every pass.
 #[derive(Clone, Debug)]
 pub(crate) struct PassConfig {

@@ -20,7 +20,7 @@
 //! The terminal discipline is implemented as **one flat sorted array**
 //! instead of per-cell vectors: every terminal becomes a packed
 //! [`crate::arena::TermItem`] keyed `(cell, edge, class, ki, hi_end)`,
-//! one global (parallel) sort groups each node edge into a contiguous
+//! one global sort groups each node edge into a contiguous
 //! run, and a terminal's offset is its position within its run — the
 //! exact offsets the per-cell stable sorts produced, at a fraction of
 //! the allocation and branching.
@@ -28,7 +28,6 @@
 use super::{PassConfig, SlabMap, WireKind};
 use crate::arena::{Scratch, TermItem};
 use crate::spec::OrthogonalSpec;
-use mlv_core::exec;
 
 /// Which node edge a terminal sits on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -135,7 +134,7 @@ pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, s: &mut Scratch) {
             }
         }
     }
-    exec::par_sort_unstable(&mut s.items);
+    s.items.sort_unstable();
 
     // --- terminal demand --------------------------------------------------
     // top demand is the longest top-edge run; intra right-edge demand is

@@ -12,7 +12,7 @@
 //!
 //! The colouring keys are **flat sorted arrays**, not maps: every
 //! interval becomes a packed [`crate::arena::IVal`] record
-//! `(key, lo, hi, tag)`, one global (parallel) sort groups each
+//! `(key, lo, hi, tag)`, one global sort groups each
 //! colouring key into a contiguous run, and [`color_runs`] first-fits
 //! within each run. Tags encode insertion order (jog indices before
 //! `jog_len + inter_seq`), so ties colour exactly as the per-key
@@ -24,7 +24,6 @@ use super::{PassConfig, PassContext, WireKind};
 use crate::arena::Scratch;
 use crate::realize::JogStrategy;
 use crate::spec::OrthogonalSpec;
-use mlv_core::exec;
 
 /// Closed-interval greedy colouring: intervals may share a track only
 /// if strictly disjoint. Returns per-interval colours and the number of
@@ -183,7 +182,7 @@ pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, ctx: &PassContext, s:
         let rhi = slabs.slot_of(w.a.0).max(slabs.slot_of(w.b.0));
         s.ivals.push((key, rlo as u32, rhi as u32, i as u32));
     }
-    exec::par_sort_unstable(&mut s.ivals);
+    s.ivals.sort_unstable();
     s.jog_vtracks.clear();
     s.jog_vtracks.resize(cols * groups * nslabs, 0);
     {
@@ -234,7 +233,7 @@ pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, ctx: &PassContext, s:
             s.ivals.push((key, clo as u32, chi as u32, jlen + n as u32));
         }
     }
-    exec::par_sort_unstable(&mut s.ivals);
+    s.ivals.sort_unstable();
     s.jog_htracks.clear();
     s.jog_htracks.resize(rows * groups, 0);
     {
