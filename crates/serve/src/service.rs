@@ -31,6 +31,7 @@ use mlv_grid::io::json_escape;
 use mlv_grid::pdk::{read_pdk, Pdk};
 use mlv_layout::engine::{lattice_jobs_with_pdk, CheckStatus, Engine, EngineOptions, Job};
 use mlv_layout::registry;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -148,11 +149,14 @@ impl Service {
         self.trace.collect(|| {
             let _span = mlv_core::span!("serve.request");
             let started = std::time::Instant::now();
+            // dispatch records the request's id here as soon as it has
+            // parsed one, so a handler that panics still answers to it
+            let id = Cell::new(None);
             let out =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.dispatch(line)))
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.dispatch(line, &id)))
                     .unwrap_or_else(|_| {
                         mlv_core::counter!("serve.panic", 1);
-                        err_frame(None, "internal: request handler panicked")
+                        err_frame(id.get(), "internal: request handler panicked")
                     });
             mlv_core::histogram!(
                 "serve.request_ns",
@@ -162,7 +166,7 @@ impl Service {
         })
     }
 
-    fn dispatch(&self, line: &str) -> String {
+    fn dispatch(&self, line: &str, seen_id: &Cell<Option<u64>>) -> String {
         let req = match json::parse(line) {
             Ok(v) => v,
             Err(e) => {
@@ -171,6 +175,7 @@ impl Service {
             }
         };
         let id = req.get("id").and_then(Value::as_u64);
+        seen_id.set(id);
         let Some(kind) = req.get("kind").and_then(Value::as_str) else {
             mlv_core::counter!("serve.malformed", 1);
             return err_frame(id, "missing or non-string 'kind'");

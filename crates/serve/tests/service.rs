@@ -173,6 +173,17 @@ fn malformed_requests_get_error_frames_without_panic() {
 }
 
 #[test]
+fn a_panicking_request_keeps_its_id() {
+    // hypercube:64 overflows u32 node ids and panics in the generator;
+    // the containment frame must still answer to request 7
+    let s = service();
+    let r = s.handle_line(r#"{"id":7,"kind":"realize","family":"hypercube:64"}"#);
+    assert!(r.starts_with(r#"{"id":7,"ok":false"#), "{r}");
+    assert!(r.contains("panicked"), "{r}");
+    assert_eq!(s.in_flight(), 0);
+}
+
+#[test]
 fn responses_byte_identical_across_thread_counts() {
     let requests = [
         r#"{"id":1,"kind":"realize","family":"hypercube:4","layers":4}"#,
