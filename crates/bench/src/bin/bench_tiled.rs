@@ -10,14 +10,13 @@
 //! per size so the scaling table in `EXPERIMENTS.md` is reproducible.
 //!
 //! At small sizes (≤ 2¹² nodes) every record also runs the legality
-//! check over the tile instances plus the flat differential:
-//! `materialize(tiled)` must digest-match the flat `realize()`, and the
-//! checker's report on the tiled IR must equal the naive point-set
-//! reference checker's on the flat layout. Large sizes skip both — the
-//! flat side is exactly the memory the bench avoids, and the checker
-//! walks every wire *point* against the node index, which is hours of
-//! work at 2²⁰ nodes. The conformance harness already pins checker
-//! agreement across the lattice; this bench pins realization scaling.
+//! check over the tile instances plus a differential: the checker's
+//! report on the tiled IR must equal the naive point-set reference
+//! checker's on the materialized layout. Large sizes skip both — the
+//! flat side is exactly the memory the bench avoids, and the naive
+//! checker walks every wire *point*, which is hours of work at 2²⁰
+//! nodes. The conformance harness already pins checker agreement
+//! across the lattice; this bench pins realization scaling.
 //!
 //! ```text
 //! bench_tiled [--family=hypercube|karyn|all] [--layers=L]
@@ -30,7 +29,6 @@
 //! thread-count independence of the tiled pipeline.
 
 use mlv_grid::streaming::StreamSource;
-use mlv_layout::engine::layout_digest;
 use mlv_layout::{families, RealizeOptions};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -39,7 +37,7 @@ use std::time::Instant;
 mod naive_checker;
 
 /// Sizes above this many nodes skip the legality check and the
-/// flat-vs-tiled differential: the flat side is exactly the memory the
+/// naive-checker differential: the flat side is exactly the memory the
 /// bench exists to avoid (and would pollute the `VmHWM` column), and
 /// checking is per-wire-point work that dwarfs realization at scale.
 const DIFFERENTIAL_MAX_NODES: usize = 1 << 12;
@@ -95,7 +93,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// One ladder rung: realize tiled, stream metrics + legality, and (at
-/// small N) run the flat differential. Returns false on any failure.
+/// small N) run the naive-checker differential. Returns false on any
+/// failure.
 fn run_size(tag: &str, n: usize, family: families::Family, args: &Args) -> bool {
     let opts = RealizeOptions::with_layers(args.layers);
     let t0 = Instant::now();
@@ -126,16 +125,10 @@ fn run_size(tag: &str, n: usize, family: families::Family, args: &Args) -> bool 
             );
             ok = false;
         }
-        let flat = family.realize_with(&opts);
-        let flat_digest = layout_digest(&flat);
-        let tiled_digest = layout_digest(&tiled.materialize());
-        let reference = naive_checker::naive_check(&flat, Some(&family.graph));
-        let matches = tiled_digest == flat_digest && report == reference;
+        let reference = naive_checker::naive_check(&tiled.materialize(), Some(&family.graph));
+        let matches = report == reference;
         if !matches {
-            eprintln!(
-                "FAIL {tag} n={n}: tiled/flat differential diverged \
-                 (digest {tiled_digest:016x} vs {flat_digest:016x})"
-            );
+            eprintln!("FAIL {tag} n={n}: tiled checker diverged from the naive checker");
             ok = false;
         }
         (

@@ -19,11 +19,13 @@ mod parse;
 mod report;
 
 use mlv_grid::checker;
-use mlv_grid::metrics::LayoutMetrics;
+use mlv_grid::io::write_layout;
+use mlv_grid::metrics::{LayoutMetrics, PhysicalMetrics};
+use mlv_grid::streaming::{metrics_stream, StreamSource};
 use mlv_grid::svg::{render_svg, SvgOptions};
 use mlv_layout::realize::{align_wires, RealizeOptions};
-use mlv_layout::realize3d::{realize_3d, Realize3dOptions};
-use mlv_layout::registry;
+use mlv_layout::realize3d::Realize3dOptions;
+use mlv_layout::{realize_tiled, realize_tiled_3d, registry, TiledLayout};
 use parse::{parse_family, parse_layers};
 use report::Report;
 use std::process::ExitCode;
@@ -95,11 +97,11 @@ JSON object per span/counter/histogram plus a closing digest line);
 the digest covers only deterministic fields, so it is identical for
 any MLV_THREADS.
 
-`mlv layout --tiled` realizes into the hierarchical tile IR instead of
-flat geometry: a small tile table plus one instance record per wire.
-The report and `--check` walk the tile instances, so the full grid is
-never materialized; `--save` materializes on demand — byte-identical
-to the flat realization.
+`mlv layout` realizes into the hierarchical tile IR: a small tile table
+plus one instance record per wire. `--check`, the metrics and `--save`
+walk the tile instances. `--tiled` prints the streaming report, which
+never builds the flat grid; the full report's analytics, `--svg`,
+`--ascii` and `--routed` materialize it.
 
 `mlv profile` realizes one family through the engine under a trace
 and prints the trace to stdout: per-pass pipeline spans, engine and
@@ -311,101 +313,21 @@ fn cmd_layout(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(e) => return fail(e),
     };
-    if flags.tiled {
-        return cmd_layout_tiled(&family, layers, pdk, &flags);
-    }
-    let mut layout = match flags.active_layers {
-        Some(la) if la > 1 => realize_3d(
-            &family.spec,
-            &Realize3dOptions {
-                layers,
-                active_layers: la,
-                node_side: flags.node_side,
-                pdk: pdk.clone(),
-            },
-        ),
-        _ => family.realize_with(&RealizeOptions {
-            layers,
-            node_side: flags.node_side,
-            jog_strategy: Default::default(),
-            pdk: pdk.clone(),
-        }),
-    };
-    let mut rep = Report::collect(&layout);
-    if let Some(p) = &pdk {
-        match mlv_grid::metrics::PhysicalMetrics::of(&layout, p) {
-            Ok(ph) => rep.physical = Some(ph),
-            Err(e) => eprintln!("warning: {e}"),
-        }
-    }
-    if flags.check {
-        let r = match &pdk {
-            Some(p) => checker::check_with_pdk(&layout, Some(&family.graph), p),
-            None => checker::check(&layout, Some(&family.graph)),
-        };
-        rep.checked = Some(r.is_legal());
-        if !r.is_legal() {
-            eprintln!(
-                "legality check FAILED: {:?}",
-                &r.errors[..r.errors.len().min(3)]
-            );
-        }
-    }
-    if flags.routed {
-        align_wires(&mut layout, &family.graph);
-        rep.routed = LayoutMetrics::max_routed_path(&layout, &family.graph);
-    }
-    if flags.json {
-        print!("{}", rep.json());
-    } else {
-        print!("{}", rep.text());
-    }
-    if flags.ascii {
-        println!("\n{}", mlv_grid::render::render_top(&layout));
-    }
-    if let Some(path) = &flags.save {
-        if let Err(e) = std::fs::write(path, mlv_grid::io::write_layout(&layout)) {
-            return fail(format!("writing {path}: {e}"));
-        }
-        eprintln!("saved {path}");
-    }
-    if let Some(path) = flags.svg {
-        let svg = render_svg(&layout, &SvgOptions::default());
-        if let Err(e) = std::fs::write(&path, svg) {
-            return fail(format!("writing {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
-    }
-    if rep.checked == Some(false) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `mlv layout --tiled`: realize into the hierarchical tile IR and
-/// report by walking the tile instances — the flat grid is never
-/// materialized unless `--save` asks for it.
-fn cmd_layout_tiled(
-    family: &mlv_layout::families::Family,
-    layers: usize,
-    pdk: Option<mlv_grid::pdk::Pdk>,
-    flags: &Flags,
-) -> ExitCode {
-    use mlv_grid::streaming::StreamSource;
-    if flags.svg.is_some() || flags.ascii || flags.routed {
+    if flags.tiled && (flags.svg.is_some() || flags.ascii || flags.routed) {
         return fail("--svg/--ascii/--routed need flat geometry; drop --tiled");
     }
-    let tiled = match flags.active_layers {
-        Some(la) if la > 1 => mlv_layout::realize_tiled_3d(
-            &family.spec,
-            &Realize3dOptions {
-                layers,
-                active_layers: la,
-                node_side: flags.node_side,
-                pdk: pdk.clone(),
-            },
-        ),
-        _ => mlv_layout::realize_tiled(
+    let opts_3d = flags.active_layers.map(|la| Realize3dOptions {
+        layers,
+        active_layers: la,
+        node_side: flags.node_side,
+        pdk: pdk.clone(),
+    });
+    if let Some(Err(e)) = opts_3d.as_ref().map(Realize3dOptions::validate) {
+        return fail(e);
+    }
+    let tiled = match &opts_3d {
+        Some(o) if o.active_layers > 1 => realize_tiled_3d(&family.spec, o),
+        _ => realize_tiled(
             &family.spec,
             &RealizeOptions {
                 layers,
@@ -415,22 +337,83 @@ fn cmd_layout_tiled(
             },
         ),
     };
-    let m = mlv_grid::streaming::metrics_stream(&tiled);
-    let mut legal: Option<bool> = None;
-    if flags.check {
+    let metrics = metrics_stream(&tiled);
+    // the streaming report has no physical section
+    let physical = match &pdk {
+        Some(p) if !flags.tiled => match PhysicalMetrics::of(&tiled, p) {
+            Ok(ph) => Some(ph),
+            Err(e) => {
+                eprintln!("warning: {e}");
+                None
+            }
+        },
+        _ => None,
+    };
+    let checked = flags.check.then(|| {
         let r = match &pdk {
             Some(p) => checker::check_with_pdk(&tiled, Some(&family.graph), p),
             None => checker::check(&tiled, Some(&family.graph)),
         };
-        legal = Some(r.is_legal());
         if !r.is_legal() {
             eprintln!(
                 "legality check FAILED: {:?}",
                 &r.errors[..r.errors.len().min(3)]
             );
         }
+        r.is_legal()
+    });
+    // the full report's analytics, the renderings and the routed metric
+    // read stored geometry; the streaming report never materializes
+    let flat = if flags.tiled {
+        print_tiled_report(&tiled, &metrics, checked, flags.json);
+        None
+    } else {
+        let mut layout = tiled.materialize();
+        let mut rep = Report::collect(&layout, metrics);
+        rep.physical = physical;
+        rep.checked = checked;
+        if flags.routed {
+            align_wires(&mut layout, &family.graph);
+            rep.routed = LayoutMetrics::max_routed_path(&layout, &family.graph);
+        }
+        if flags.json {
+            print!("{}", rep.json());
+        } else {
+            print!("{}", rep.text());
+        }
+        if flags.ascii {
+            println!("\n{}", mlv_grid::render::render_top(&layout));
+        }
+        Some(layout)
+    };
+    if let Some(path) = &flags.save {
+        // `--routed` reorders the wires, and the saved file keeps that order
+        let text = match &flat {
+            Some(layout) if flags.routed => write_layout(layout),
+            _ => write_layout(&tiled),
+        };
+        if let Err(e) = std::fs::write(path, text) {
+            return fail(format!("writing {path}: {e}"));
+        }
+        eprintln!("saved {path}");
     }
-    if flags.json {
+    if let (Some(path), Some(layout)) = (&flags.svg, &flat) {
+        let svg = render_svg(layout, &SvgOptions::default());
+        if let Err(e) = std::fs::write(path, svg) {
+            return fail(format!("writing {path}: {e}"));
+        }
+        eprintln!("wrote {path}");
+    }
+    if checked == Some(false) {
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// The `--tiled` report: counts, the tile table's size, the streaming
+/// metrics and the tiled IR's own digest.
+fn print_tiled_report(tiled: &TiledLayout, m: &LayoutMetrics, legal: Option<bool>, json: bool) {
+    if json {
         println!(
             "{{\"name\":\"{}\",\"layers\":{},\"nodes\":{},\"wires\":{},\"tiles\":{},\"digest\":\"{:#018x}\",\"width\":{},\"height\":{},\"area\":{},\"volume\":{},\"max_wire\":{},\"vias\":{}{}}}",
             tiled.name,
@@ -472,17 +455,6 @@ fn cmd_layout_tiled(
             println!("  legality: {}", if ok { "VERIFIED" } else { "FAILED" });
         }
     }
-    if let Some(path) = &flags.save {
-        let layout = tiled.materialize();
-        if let Err(e) = std::fs::write(path, mlv_grid::io::write_layout(&layout)) {
-            return fail(format!("writing {path}: {e}"));
-        }
-        eprintln!("saved {path} (materialized)");
-    }
-    if legal == Some(false) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// `mlv sweep`: realize a batch of `(family, L)` jobs through the
@@ -580,8 +552,8 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
 }
 
 /// Render an [`Aggregate`](mlv_core::trace::Aggregate) as the trace
-/// document format shared by `mlv profile`, `mlv sweep --trace`, and
-/// `bench_layout --trace`: one JSON object per span/counter/histogram
+/// document format shared by `mlv profile` and `mlv sweep --trace`:
+/// one JSON object per span/counter/histogram
 /// (stable key order, io-escaped names) followed by a closing
 /// `{"type":"digest",...}` line over the deterministic subset.
 fn trace_document(agg: &mlv_core::trace::Aggregate) -> String {
@@ -706,7 +678,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         layout.layers
     );
     if let Some(p) = &pdk {
-        match mlv_grid::metrics::PhysicalMetrics::of(&layout, p) {
+        match PhysicalMetrics::of(&layout, p) {
             Ok(ph) => println!(
                 "physical [{}]: area {} ({} x {}), wirelength {} (vias {})",
                 ph.pdk, ph.area, ph.width, ph.height, ph.wirelength, ph.via_cost

@@ -34,14 +34,15 @@ pub struct Report {
 }
 
 impl Report {
-    /// Collect a report from a layout (metrics + analytics; checking
-    /// and routing are recorded by the caller).
-    pub fn collect(layout: &Layout) -> Report {
+    /// Collect a report from a layout and its headline metrics (the
+    /// analytics read the stored geometry; checking, routing and
+    /// physical metrics are recorded by the caller).
+    pub fn collect(layout: &Layout, metrics: LayoutMetrics) -> Report {
         Report {
             name: layout.name.clone(),
             nodes: layout.nodes.len(),
             wires: layout.wires.len(),
-            metrics: LayoutMetrics::of(layout),
+            metrics,
             routed: None,
             checked: None,
             layer_usage: analytics::layer_usage(layout),
@@ -207,7 +208,7 @@ mod tests {
     #[test]
     fn report_text_and_json() {
         let layout = families::hypercube(4).realize(4);
-        let mut r = Report::collect(&layout);
+        let mut r = Report::collect(&layout, LayoutMetrics::of(&layout));
         r.checked = Some(true);
         r.routed = Some(123);
         let t = r.text();
@@ -225,7 +226,7 @@ mod tests {
     #[test]
     fn unchecked_report_serializes_null() {
         let layout = families::hypercube(3).realize(2);
-        let r = Report::collect(&layout);
+        let r = Report::collect(&layout, LayoutMetrics::of(&layout));
         assert!(r.json().contains("\"checked\": null"));
     }
 }

@@ -166,3 +166,62 @@ fn check_verifies_a_huge_footprint() {
         .unwrap()
         .contains("unknown flag '--tiled'"));
 }
+
+/// An `--active-layers` budget `Realize3dOptions::validate` rejects is a
+/// clean error (exit 1), never a panic, with and without `--tiled`;
+/// `0` is rejected rather than silently realized in 2-D.
+#[test]
+fn bad_active_layers_are_an_error() {
+    for la in ["3", "0"] {
+        for tiled in [false, true] {
+            let mut args = vec![
+                "layout",
+                "hypercube:4",
+                "--layers",
+                "4",
+                "--active-layers",
+                la,
+            ];
+            if tiled {
+                args.push("--tiled");
+            }
+            let out = mlv(&args);
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        }
+    }
+}
+
+/// `--save` writes the same bytes from the streaming and the full
+/// report path, in 2-D and 3-D, and `mlv check` accepts the file.
+#[test]
+fn save_is_identical_with_and_without_tiled() {
+    let dir = std::env::temp_dir().join(format!("mlv-cli-save-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for extra in [&[][..], &["--active-layers", "2"][..]] {
+        let saved: Vec<Vec<u8>> = [false, true]
+            .into_iter()
+            .map(|tiled| {
+                let path = dir.join(format!("{tiled}.mlv"));
+                let file = path.to_str().unwrap();
+                let mut args = vec!["layout", "ccc:3", "--layers", "8", "--save", file];
+                args.extend_from_slice(extra);
+                if tiled {
+                    args.push("--tiled");
+                }
+                assert!(mlv(&args).status.success(), "{args:?}");
+                let check = mlv(&["check", file]);
+                assert!(check.status.success(), "{args:?}: saved file fails check");
+                std::fs::read(&path).unwrap()
+            })
+            .collect();
+        assert!(!saved[0].is_empty());
+        assert_eq!(
+            saved[0], saved[1],
+            "{extra:?}: --tiled saved different bytes"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

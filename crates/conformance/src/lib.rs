@@ -11,9 +11,10 @@
 //!    shared invariants;
 //! 3. [`oracles::prediction_oracle`] — `mlv-formulas` leading-constant
 //!    envelopes;
-//! 4. [`oracles::tiled_oracle`] — tiled-vs-flat differential: the tiled
-//!    IR materializes byte-identically to the flat layout, and the
-//!    checker and metrics give the same results on both;
+//! 4. [`oracles::tiled_oracle`] — tiled-vs-flat differential: the
+//!    engine's digest, streamed from tiles, matches the materialized
+//!    layout's, and the checker and metrics give the same results on
+//!    both;
 //! 5. [`oracles::pdk_oracle`] (PDK axis only, [`Config::pdk_axis`]) —
 //!    the uniform PDK is the identity (fresh realization digest +
 //!    physical metrics match the PDK-free run), the `hv6` stack
@@ -237,7 +238,6 @@ pub fn run(config: &Config) -> RunReport {
         check: true,
         keep_layouts: true,
         cache_capacity: 4096,
-        ..EngineOptions::default()
     });
     let results = config
         .families
@@ -382,7 +382,7 @@ fn run_case(
         // engine's uniform layout, and check against that stack
         let hv6 = strategy.needs_pdk().then(mlv_grid::pdk::Pdk::hv6);
         let mut mutated = match &hv6 {
-            Some(pdk) => mlv_layout::realize_fresh(
+            Some(pdk) => mlv_layout::realize(
                 &case.family.spec,
                 &mlv_layout::RealizeOptions::with_pdk(case.layers, pdk.clone()),
             ),

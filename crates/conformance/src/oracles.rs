@@ -13,10 +13,10 @@
 //!    volume or max wire).
 //! 3. [`prediction_oracle`] — measured area/volume/max-wire stay inside
 //!    the leading-constant envelopes derived from `mlv-formulas`.
-//! 4. [`tiled_oracle`] — the tiled IR differential: materializing the
-//!    tiled realization is byte-identical to the flat layout, and the
-//!    checker and metrics walking the tile instances agree with their
-//!    results on the flat layout.
+//! 4. [`tiled_oracle`] — the tiled IR differential: the engine's
+//!    digest, streamed from tiles, matches the materialized layout's,
+//!    and the checker and metrics walking the tile instances agree with
+//!    their results on the materialized layout.
 //! 5. [`pdk_oracle`] (run only with the PDK axis on) — the technology
 //!    differential: the uniform PDK is the identity, the built-in
 //!    `hv6` stack realizes legally under direction/pitch checks, and
@@ -226,16 +226,21 @@ pub fn prediction_oracle(case: &Case, dm: &LayoutMetrics, tm: &LayoutMetrics) ->
     v
 }
 
-/// Oracle 4: tiled-vs-flat differential. Realizes the case's spec into
-/// the tiled IR and pins three equivalences against the flat direct
-/// realization the engine produced:
+/// Oracle 4: tiled-vs-flat differential. The engine realized the case
+/// into the tiled IR and took its digest, metrics and check from the
+/// tiles; its flat layout is `materialize(tiled)`. This oracle
+/// realizes the spec into tiles again and pins three equivalences
+/// between the two `StreamSource` implementations:
 ///
-/// 1. `materialize(tiled)` is **byte-identical** to the flat layout
-///    (same FNV digest over the canonical serialization);
-/// 2. streaming metrics over the tile instances equal the flat
-///    [`LayoutMetrics`];
+/// 1. the engine's digest, streamed from its tiles, equals the digest
+///    of the materialized layout's text serialization;
+/// 2. streaming metrics over the tile instances equal
+///    [`LayoutMetrics::of`] on the materialized layout;
 /// 3. the checker's report (errors, order, point totals) on the tile
-///    instances equals its report on the flat layout.
+///    instances equals its report on the materialized layout.
+///
+/// Absolute geometry is pinned elsewhere: by the lattice digests and
+/// the registry examples' digest fixture in `mlv-layout`.
 pub fn tiled_oracle(case: &Case, direct: &mlv_layout::engine::JobOutcome) -> Vec<String> {
     let mut v = Vec::new();
     let l = case.label.as_str();
@@ -246,18 +251,18 @@ pub fn tiled_oracle(case: &Case, direct: &mlv_layout::engine::JobOutcome) -> Vec
         &case.family.spec,
         &mlv_layout::RealizeOptions::with_layers(case.layers),
     );
-    let tiled_digest = mlv_layout::engine::layout_digest(&tiled.materialize());
-    if tiled_digest != direct.digest {
+    let flat_digest = mlv_layout::engine::layout_digest(&tiled.materialize());
+    if flat_digest != direct.digest {
         v.push(format!(
-            "[{l}] tiled materialization digest {tiled_digest:#018x} != flat {:#018x}",
+            "[{l}] materialized digest {flat_digest:#018x} != streamed {:#018x}",
             direct.digest
         ));
     }
     let sm = mlv_grid::streaming::metrics_stream(&tiled);
-    if sm != direct.metrics {
+    let fm = LayoutMetrics::of(dl);
+    if sm != fm {
         v.push(format!(
-            "[{l}] streaming metrics diverge: tiled {sm:?} vs flat {:?}",
-            direct.metrics
+            "[{l}] streaming metrics diverge: tiled {sm:?} vs flat {fm:?}"
         ));
     }
     let on_flat = checker::check(dl, Some(&case.family.graph));
@@ -292,7 +297,7 @@ pub fn pdk_oracle(case: &Case, direct: &mlv_layout::engine::JobOutcome) -> Vec<S
     // 1. uniform identity, realized fresh so a memo-cache hit cannot
     // make the comparison vacuous
     let uniform = Pdk::uniform(case.layers);
-    let ul = mlv_layout::realize_fresh(
+    let ul = mlv_layout::realize(
         &case.family.spec,
         &mlv_layout::RealizeOptions::with_pdk(case.layers, uniform.clone()),
     );
@@ -323,7 +328,7 @@ pub fn pdk_oracle(case: &Case, direct: &mlv_layout::engine::JobOutcome) -> Vec<S
 
     // 3. hv6 realizes legally under direction/pitch checks
     let hv6 = Pdk::hv6();
-    let hl = mlv_layout::realize_fresh(
+    let hl = mlv_layout::realize(
         &case.family.spec,
         &mlv_layout::RealizeOptions::with_pdk(case.layers, hv6.clone()),
     );

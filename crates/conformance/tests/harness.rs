@@ -124,7 +124,7 @@ fn every_check_error_kind_triggered_by_injection() {
     let base = fam.realize(4);
     checker::assert_legal(&base, Some(&fam.graph));
     let hv6 = mlv_grid::pdk::Pdk::hv6();
-    let hv6_base = mlv_layout::realize_fresh(
+    let hv6_base = mlv_layout::realize(
         &fam.spec,
         &mlv_layout::RealizeOptions::with_pdk(4, hv6.clone()),
     );

@@ -7,9 +7,9 @@
 //! A [`Trace`] is a collector. Installing one with [`Trace::collect`]
 //! pushes its sink onto a **thread-local stack**; every event recorded
 //! while the stack is non-empty updates *all* installed sinks, so a
-//! nested trace (e.g. the per-realization trace behind
-//! `PassTimings`) observes its own events while the enclosing run
-//! trace accumulates them too — no explicit re-merge step. The
+//! nested trace (e.g. one test's trace inside a whole-run trace)
+//! observes its own events while the enclosing run trace accumulates
+//! them too — no explicit re-merge step. The
 //! `mlv_core::exec` executor snapshots the caller's stack and installs
 //! it in each scoped worker, so events from fanned-out work land in
 //! the same sinks as sequential execution.

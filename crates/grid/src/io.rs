@@ -17,42 +17,75 @@
 use crate::geom::{Point3, Rect};
 use crate::layout::Layout;
 use crate::path::WirePath;
-use std::fmt::Write as _;
+use crate::streaming::StreamSource;
+use mlv_topology::NodeId;
+use std::fmt::{self, Write as _};
 
-/// Serialize a layout to the text format.
-pub fn write_layout(layout: &Layout) -> String {
+/// Serialize a layout — a flat [`Layout`] or any other
+/// [`StreamSource`], such as a tiled IR — to the text format.
+pub fn write_layout<S: StreamSource + ?Sized>(src: &S) -> String {
     let mut out = String::new();
-    write_layout_into(layout, &mut out);
+    write_layout_into(src, &mut out);
     out
 }
 
 /// [`write_layout`] into a caller-owned buffer: `out` is cleared and
-/// then filled with the exact same bytes `write_layout` returns, so
-/// digest/serialization hot loops (the batch engine hashes every
-/// realized layout) can reuse one allocation across layouts.
-pub fn write_layout_into(layout: &Layout, out: &mut String) {
+/// then filled with the exact same bytes `write_layout` returns.
+pub fn write_layout_into<S: StreamSource + ?Sized>(src: &S, out: &mut String) {
     out.clear();
-    let _ = writeln!(out, "mlvlayout 1");
-    let _ = writeln!(
-        out,
-        "layout {} layers={}",
-        escape(&layout.name),
-        layout.layers
-    );
-    for n in &layout.nodes {
-        let _ = writeln!(
-            out,
-            "node {} {} {} {} {} layer={}",
-            n.node, n.rect.x0, n.rect.y0, n.rect.x1, n.rect.y1, n.layer
-        );
-    }
-    for w in &layout.wires {
-        let _ = write!(out, "wire {} {}", w.u, w.v);
-        for c in w.path.corners() {
-            let _ = write!(out, " {},{},{}", c.x, c.y, c.z);
+    // writing into a String cannot fail
+    let _ = write_layout_to(src, out);
+}
+
+/// Stream the text format of `src` into any [`fmt::Write`] sink, record
+/// by record, without building the text first (the engine's digest
+/// hashes the bytes as they are written).
+///
+/// Nodes, then wires, in the order the source visits them. A run of
+/// repeated consecutive corners is written once, as
+/// [`WirePath::new`] stores it, so a source that yields raw corner
+/// sequences serializes to the same bytes as its materialized layout.
+pub fn write_layout_to<S, W>(src: &S, out: &mut W) -> fmt::Result
+where
+    S: StreamSource + ?Sized,
+    W: fmt::Write + ?Sized,
+{
+    writeln!(out, "mlvlayout 1")?;
+    writeln!(out, "layout {} layers={}", escape(src.name()), src.layers())?;
+    let mut res = Ok(());
+    src.visit_nodes(&mut |n| {
+        if res.is_ok() {
+            res = writeln!(
+                out,
+                "node {} {} {} {} {} layer={}",
+                n.node, n.rect.x0, n.rect.y0, n.rect.x1, n.rect.y1, n.layer
+            );
         }
-        out.push('\n');
+    });
+    res?;
+    src.visit_wires(&mut |u, v, corners| {
+        if res.is_ok() {
+            res = write_wire(out, u, v, corners);
+        }
+    });
+    res
+}
+
+fn write_wire<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    u: NodeId,
+    v: NodeId,
+    corners: &[Point3],
+) -> fmt::Result {
+    write!(out, "wire {u} {v}")?;
+    let mut prev = None;
+    for &c in corners {
+        if prev != Some(c) {
+            write!(out, " {},{},{}", c.x, c.y, c.z)?;
+            prev = Some(c);
+        }
     }
+    out.write_char('\n')
 }
 
 /// A parse failure, with the offending 1-based line number.
@@ -280,6 +313,42 @@ mod tests {
         let mut buf = String::from("stale content from a previous layout");
         write_layout_into(&l, &mut buf);
         assert_eq!(buf, write_layout(&l));
+    }
+
+    /// A source that yields each wire's corners with every corner
+    /// doubled, as a tile expansion can before `WirePath::new` collapses
+    /// the repeats.
+    struct Doubled(Layout);
+
+    impl StreamSource for Doubled {
+        fn name(&self) -> &str {
+            &self.0.name
+        }
+        fn layers(&self) -> usize {
+            self.0.layers
+        }
+        fn node_count(&self) -> usize {
+            self.0.nodes.len()
+        }
+        fn wire_count(&self) -> usize {
+            self.0.wires.len()
+        }
+        fn visit_nodes(&self, f: &mut dyn FnMut(crate::layout::NodePlacement)) {
+            self.0.visit_nodes(f)
+        }
+        fn visit_wires(&self, f: &mut dyn FnMut(NodeId, NodeId, &[Point3])) {
+            for w in &self.0.wires {
+                let raw: Vec<Point3> = w.path.corners().iter().flat_map(|&c| [c, c]).collect();
+                f(w.u, w.v, &raw);
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_raw_corners_are_written_once() {
+        let l = sample();
+        let text = write_layout(&l);
+        assert_eq!(write_layout(&Doubled(l)), text);
     }
 
     #[test]

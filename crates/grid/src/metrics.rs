@@ -12,8 +12,10 @@
 //!   routing path (paper §1 claim 4), computed by plugging realized wire
 //!   lengths into BFS shortest paths of the reference graph.
 
+use crate::geom::{Point3, Rect};
 use crate::layout::Layout;
 use crate::pdk::{DbUnits, Pdk};
+use crate::streaming::StreamSource;
 use mlv_topology::routing::max_route_cost;
 use mlv_topology::Graph;
 
@@ -73,12 +75,6 @@ impl LayoutMetrics {
         }
     }
 
-    /// Pitch-weighted physical metrics of this layout under `pdk`
-    /// (convenience over [`PhysicalMetrics::of`]).
-    pub fn physical(layout: &Layout, pdk: &Pdk) -> Result<PhysicalMetrics, String> {
-        PhysicalMetrics::of(layout, pdk)
-    }
-
     /// Maximum total wire length along a shortest routing path between
     /// any source–destination pair (paper §1 claim 4). Requires the
     /// reference graph whose edge order matches `layout.wires` — i.e.
@@ -131,32 +127,25 @@ pub struct PhysicalMetrics {
 }
 
 impl PhysicalMetrics {
-    /// Compute the pitch-weighted metrics of `layout` under `pdk`.
-    /// Corners below layer 0 (only possible in deliberately illegal
-    /// layouts) are priced as layer 0.
+    /// Compute the pitch-weighted metrics of a layout — a flat
+    /// [`Layout`] or any other [`StreamSource`] — under `pdk`, in one
+    /// walk. Corners below layer 0 (only possible in deliberately
+    /// illegal layouts) are priced as layer 0.
     ///
     /// All pitch multiplications and cost sums are checked: a stack
     /// with adversarially large pitches or via costs (e.g. a hostile
     /// `@file.pdk` handed to the server) surfaces as an `Err`, never a
     /// debug-panic or a silently wrapped release number.
-    pub fn of(layout: &Layout, pdk: &Pdk) -> Result<Self, String> {
+    pub fn of<S: StreamSource + ?Sized>(src: &S, pdk: &Pdk) -> Result<Self, String> {
         let overflow = || format!("pdk `{}`: physical metrics overflow", pdk.name);
-        let (bb, _) = layout.extents();
-        let (gw, gh) = match bb {
-            Some(bb) => (bb.width(), bb.height()),
-            None => (0, 0),
-        };
-        let width = gw
-            .checked_mul(pdk.xscale(layout.layers) as DbUnits)
-            .ok_or_else(overflow)?;
-        let height = gh
-            .checked_mul(pdk.yscale(layout.layers) as DbUnits)
-            .ok_or_else(overflow)?;
-        let area = width.checked_mul(height).ok_or_else(overflow)?;
-        let wire_cost = |w: &crate::layout::Wire| -> Option<(DbUnits, DbUnits)> {
+        let mut bb: Option<Rect> = None;
+        src.visit_nodes(&mut |n| {
+            bb = Some(bb.map_or(n.rect, |r| r.union(&n.rect)));
+        });
+        let wire_cost = |corners: &[Point3]| -> Option<(DbUnits, DbUnits)> {
             let mut planar = 0u64;
             let mut vias = 0u64;
-            for pair in w.path.corners().windows(2) {
+            for pair in corners.windows(2) {
                 let (a, b) = (pair[0], pair[1]);
                 if a.z != b.z {
                     let (lo, hi) = (a.z.min(b.z).max(0), a.z.max(b.z).max(0));
@@ -171,20 +160,38 @@ impl PhysicalMetrics {
             }
             Some((planar, vias))
         };
-        // the first overflowing wire stops the fold and fails the whole layout
-        let (wirelength, max_wire, via_cost) = layout
-            .wires
-            .iter()
-            .try_fold((0u64, 0u64, 0u64), |(total, longest, via_total), w| {
-                let (planar, vias) = wire_cost(w)?;
+        // (total, longest, via total); the first overflowing wire turns
+        // it to None, which fails the whole layout
+        let mut sums = Some((0u64, 0u64, 0u64));
+        src.visit_wires(&mut |_, _, corners| {
+            for c in corners {
+                match &mut bb {
+                    Some(r) => r.expand_to(c.x, c.y),
+                    None => bb = Some(Rect::new(c.x, c.y, c.x, c.y)),
+                }
+            }
+            sums = sums.and_then(|(total, longest, via_total)| {
+                let (planar, vias) = wire_cost(corners)?;
                 let full = planar.checked_add(vias)?;
                 Some((
                     total.checked_add(full)?,
                     longest.max(full),
                     via_total.checked_add(vias)?,
                 ))
-            })
+            });
+        });
+        let (gw, gh) = match bb {
+            Some(bb) => (bb.width(), bb.height()),
+            None => (0, 0),
+        };
+        let width = gw
+            .checked_mul(pdk.xscale(src.layers()) as DbUnits)
             .ok_or_else(overflow)?;
+        let height = gh
+            .checked_mul(pdk.yscale(src.layers()) as DbUnits)
+            .ok_or_else(overflow)?;
+        let area = width.checked_mul(height).ok_or_else(overflow)?;
+        let (wirelength, max_wire, via_cost) = sums.ok_or_else(overflow)?;
         Ok(PhysicalMetrics {
             pdk: pdk.name.clone(),
             width,

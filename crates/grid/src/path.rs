@@ -34,19 +34,11 @@ pub enum PathError {
 
 impl WirePath {
     /// Build a path from its corners. Zero-length "segments" (repeated
-    /// corners) are collapsed **in place** — the vector's allocation is
-    /// kept, so callers recycling corner buffers pay no per-path
-    /// allocation. Panics if empty.
+    /// corners) are collapsed in place. Panics if empty.
     pub fn new(mut corners: Vec<Point3>) -> Self {
         assert!(!corners.is_empty(), "path needs at least one point");
         corners.dedup();
         WirePath { corners }
-    }
-
-    /// Take the corner buffer back out (for buffer recycling — the
-    /// inverse of [`WirePath::new`]).
-    pub fn into_corners(self) -> Vec<Point3> {
-        self.corners
     }
 
     /// The corner sequence (endpoints included).
@@ -197,16 +189,6 @@ mod tests {
             p(3, 2, 0),
         ]);
         assert_eq!(w.stats(), (w.planar_length(), w.length(), w.via_count()));
-    }
-
-    #[test]
-    fn corner_buffer_round_trips_with_capacity() {
-        let mut buf = Vec::with_capacity(32);
-        buf.extend([p(0, 0, 0), p(0, 0, 0), p(2, 0, 0)]);
-        let w = WirePath::new(buf);
-        assert_eq!(w.corners(), &[p(0, 0, 0), p(2, 0, 0)]);
-        let back = w.into_corners();
-        assert!(back.capacity() >= 32, "recycled capacity must survive");
     }
 
     #[test]

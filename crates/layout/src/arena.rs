@@ -2,42 +2,38 @@
 //! buffer the placement → tracks → layers → emit pipeline allocates.
 //!
 //! One [`Scratch`] holds the flat index vectors the passes fill
-//! (products *and* intermediates), the emit pass's recycled corner /
-//! node / wire storage, and the engine's serialization buffer. Reusing
-//! one `Scratch` across realizations removes essentially all steady
-//! state allocation from the hot path:
+//! (products *and* intermediates). Each thread keeps one and reuses it
+//! across realizations ([`with_scratch`]), so the steady-state pipeline
+//! allocates little beyond the tiles it returns. This is the only
+//! allocation-reuse path: an engine job realizes on its worker's
+//! thread-local scratch too. Reuse pays where scratches are large:
+//! without it `tiled-large` ran at 0.92× throughput and 1.11× median
+//! latency (EXPERIMENTS.md, "Performance — the hot-path rework").
 //!
-//! * [`mod@crate::realize`] / [`crate::realize3d`] reuse a thread-local
-//!   `Scratch` per calling thread (disable with `MLV_FRESH_ALLOC=1`,
-//!   the fresh-allocation debug mode);
-//! * the batch engine ([`crate::engine`]) owns a [`ScratchPool`] so the
-//!   parallel fan-out recycles scratch across jobs — and recycles each
-//!   *discarded* layout's corner buffers back into the pool.
-//!
-//! Reuse is **panic-safe by construction**: a scratch is checked out of
-//! the pool by value and only returned after the job completes, so a
-//! panicking realization simply drops its (possibly half-filled)
-//! scratch instead of recycling it. Every pass unconditionally
-//! `clear()`s the vectors it writes, so even a scratch that *was*
-//! reused after an earlier panic cannot leak stale state into a later
-//! layout.
+//! Reuse is **panic-safe by construction**: every pass unconditionally
+//! `clear()`s the vectors it writes, so a scratch left half-filled by a
+//! panicking realization cannot leak stale state into a later layout.
 
 use crate::passes::placement::TermSlot;
 use crate::passes::tracks::{IAssign, JAssign, TrackAssign};
 use crate::passes::SlabMap;
 use crate::passes::{layers::LayerAssign, WireKind};
-use mlv_grid::geom::Point3;
-use mlv_grid::layout::{NodePlacement, Wire};
-use std::sync::Mutex;
+use std::cell::RefCell;
 
-/// Cap on recycled corner buffers held by one scratch — bounds pool
-/// memory at roughly `cap × 10 corners × 24 B` per scratch while still
-/// covering every layout the bench vocabulary produces.
-const PATH_POOL_CAP: usize = 1 << 14;
+thread_local! {
+    /// Per-thread pass scratch reused across realizations.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
 
-/// Cap on pooled scratches held by an engine (the fan-out never has
-/// more live jobs than worker threads, so this is generous).
-const SCRATCH_POOL_CAP: usize = 64;
+/// Run `f` with this thread's reusable scratch — or a fresh one when
+/// the thread-local is already borrowed (re-entrant realization from
+/// inside a pass would be a bug, but must not abort).
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut s) => f(&mut s),
+        Err(_) => f(&mut Scratch::default()),
+    })
+}
 
 /// One flat terminal-item record, packed for sort speed:
 /// `(cell·8 | edge·4 | class, ki·2 | hi_end)`. Lexicographic order on
@@ -53,9 +49,9 @@ pub(crate) type TermItem = (u64, u64);
 /// exactly as the BTreeMap-of-Vecs did.
 pub(crate) type IVal = (u64, u32, u32, u32);
 
-/// Reusable pass scratch: SoA products + intermediates + recycled
-/// emit storage. `Default` is an empty scratch; every field is sized
-/// and overwritten by the pass that owns it.
+/// Reusable pass scratch: SoA products + intermediates. `Default` is
+/// an empty scratch; every field is sized and overwritten by the pass
+/// that owns it.
 #[derive(Debug)]
 pub(crate) struct Scratch {
     // --- placement products ---------------------------------------
@@ -115,15 +111,6 @@ pub(crate) struct Scratch {
     pub col_x0: Vec<i64>,
     /// Prefix-summed y origin per planar row slot (len `slots + 1`).
     pub slot_y0: Vec<i64>,
-    // --- recycled emit storage ------------------------------------
-    /// Corner buffers recycled from discarded layouts.
-    pub path_pool: Vec<Vec<Point3>>,
-    /// Recycled node vector for the next layout.
-    pub nodes_buf: Vec<NodePlacement>,
-    /// Recycled wire vector for the next layout.
-    pub wires_buf: Vec<Wire>,
-    /// Serialization buffer for digesting (engine only).
-    pub io_buf: String,
 }
 
 impl Default for Scratch {
@@ -157,132 +144,6 @@ impl Default for Scratch {
             riser_count: Vec::new(),
             col_x0: Vec::new(),
             slot_y0: Vec::new(),
-            path_pool: Vec::new(),
-            nodes_buf: Vec::new(),
-            wires_buf: Vec::new(),
-            io_buf: String::new(),
         }
-    }
-}
-
-impl Scratch {
-    /// A fresh, empty scratch.
-    pub fn new() -> Self {
-        Scratch::default()
-    }
-
-    /// Hand out recycled node/wire vectors for the emit pass (empty,
-    /// capacity preserved).
-    pub fn take_layout_bufs(&mut self) -> (Vec<NodePlacement>, Vec<Wire>) {
-        let mut nodes = std::mem::take(&mut self.nodes_buf);
-        let mut wires = std::mem::take(&mut self.wires_buf);
-        nodes.clear();
-        wires.clear();
-        (nodes, wires)
-    }
-
-    /// Recycle a layout that is about to be discarded: its corner
-    /// buffers feed the emit pass's `path_pool` and its node/wire
-    /// vectors feed [`Scratch::take_layout_bufs`].
-    pub fn recycle_layout(&mut self, mut layout: mlv_grid::layout::Layout) {
-        for w in layout.wires.drain(..) {
-            if self.path_pool.len() >= PATH_POOL_CAP {
-                break;
-            }
-            self.path_pool.push(w.path.into_corners());
-        }
-        layout.nodes.clear();
-        self.nodes_buf = layout.nodes;
-        self.wires_buf = layout.wires;
-    }
-}
-
-/// A mutex-guarded stack of [`Scratch`]es owned by the batch engine.
-/// Checkout is by value: a job that panics never returns its scratch,
-/// so poisoned state cannot re-enter the pool.
-#[derive(Debug, Default)]
-pub(crate) struct ScratchPool {
-    stack: Mutex<Vec<Scratch>>,
-}
-
-impl ScratchPool {
-    /// Pop a pooled scratch, or create a fresh one.
-    pub fn take(&self) -> Scratch {
-        self.lock().pop().unwrap_or_default()
-    }
-
-    /// Return a scratch after a successful job (dropped if full).
-    pub fn put(&self, scratch: Scratch) {
-        let mut stack = self.lock();
-        if stack.len() < SCRATCH_POOL_CAP {
-            stack.push(scratch);
-        }
-    }
-
-    /// Pooled scratches currently resident (test observability).
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Scratch>> {
-        // a poisoned mutex only means some thread panicked while the
-        // guard was live; the Vec of scratches is still structurally
-        // sound (worst case it holds a half-filled scratch, which the
-        // passes clear before use)
-        self.stack
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// `true` when `MLV_FRESH_ALLOC` requests the fresh-allocation debug
-/// mode: every realization builds a brand-new [`Scratch`] and nothing
-/// is pooled — the reference behavior the arena proptests compare
-/// against.
-pub(crate) fn fresh_alloc_requested() -> bool {
-    std::env::var_os("MLV_FRESH_ALLOC").is_some_and(|v| v != *"0")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pool_take_put_roundtrip_and_cap() {
-        let pool = ScratchPool::default();
-        assert_eq!(pool.len(), 0);
-        // taking from an empty pool creates fresh scratches
-        let a = pool.take();
-        let b = pool.take();
-        assert_eq!(pool.len(), 0);
-        pool.put(a);
-        pool.put(b);
-        assert_eq!(pool.len(), 2);
-        // LIFO reuse drains what was put back
-        let _c = pool.take();
-        assert_eq!(pool.len(), 1);
-        // the cap bounds residency: overflow is dropped, not stored
-        for _ in 0..2 * SCRATCH_POOL_CAP {
-            pool.put(Scratch::new());
-        }
-        assert_eq!(pool.len(), SCRATCH_POOL_CAP);
-    }
-
-    #[test]
-    fn recycle_layout_feeds_the_corner_pool() {
-        let mut s = Scratch::new();
-        let fam = crate::families::hypercube(3);
-        let layout = crate::realize::realize_fresh(
-            &fam.spec,
-            &crate::realize::RealizeOptions::with_layers(4),
-        );
-        let wires = layout.wires.len();
-        assert!(wires > 0);
-        s.recycle_layout(layout);
-        assert_eq!(s.path_pool.len(), wires.min(PATH_POOL_CAP));
-        // the node/wire vectors come back empty but with capacity
-        assert!(s.nodes_buf.is_empty() && s.wires_buf.is_empty());
-        assert!(s.nodes_buf.capacity() > 0 && s.wires_buf.capacity() > 0);
     }
 }

@@ -3,10 +3,10 @@
 //! the middle.
 //!
 //! The paper's multilayer scheme makes a single realization cheap
-//! (tens of microseconds — see `BENCH_layout.json`), so sweep-shaped
-//! workloads — the `(family, params, L)` grids the paper's evaluation
-//! implies — are dominated by orchestration. The engine is that
-//! orchestration layer, spelled once:
+//! (tens of microseconds for the small lattice layouts), so
+//! sweep-shaped workloads — the `(family, params, L)` grids the paper's
+//! evaluation implies — are dominated by orchestration. The engine is
+//! that orchestration layer, spelled once:
 //!
 //! * **Fan-out** — jobs are realized on `mlv_core::exec`'s
 //!   scoped-thread executor (`MLV_THREADS`-aware), one leader per
@@ -22,23 +22,23 @@
 //!   *sequentially in job order before* the parallel fan-out, so the
 //!   counters (and the `cached` flag on every result) are identical
 //!   for every thread count.
-//! * **Results** — each [`JobResult`] carries the layout's FNV content
-//!   digest (over the canonical `mlv_grid::io` serialization, the same
-//!   digest discipline the conformance harness applies to its lattice
-//!   labels), full [`LayoutMetrics`], the legality-check status, and
-//!   per-pass wall-clock timing from the placement → tracks → layers →
-//!   emit pipeline.
+//! * **Jobs run on tiles** — a job realizes into the tiled IR
+//!   ([`crate::tiled::TiledLayout`]) and takes everything it reports
+//!   from the tiles: full [`LayoutMetrics`], physical metrics, the
+//!   legality-check status, and the layout's FNV content digest,
+//!   streamed over the canonical `mlv_grid::io` serialization (the
+//!   digest a materialized layout gets from [`layout_digest`]). A flat
+//!   [`Layout`] is built only when [`EngineOptions::keep_layouts`] asks
+//!   for one.
 //!
-//! `mlv sweep` exposes the engine on the command line; the
-//! `bench_layout` micro-bench and the conformance case runner drive
-//! their realizations through it too, so the workspace has one
-//! concurrency path for batch realization instead of three.
+//! `mlv sweep` and `mlv serve` expose the engine; the conformance case
+//! runner drives its realizations through it too, so the workspace has
+//! one concurrency path for batch realization.
 
-use crate::arena::{self, Scratch, ScratchPool};
 use crate::families::Family;
-use crate::passes::PassTimings;
-use crate::realize::{realize_timed_with, RealizeOptions};
+use crate::realize::RealizeOptions;
 use crate::registry;
+use crate::tiled::realize_tiled;
 use mlv_core::exec;
 use mlv_core::rng::{Rng, SplitMix64};
 use mlv_grid::checker;
@@ -47,6 +47,7 @@ use mlv_grid::io::json_escape;
 use mlv_grid::layout::Layout;
 use mlv_grid::metrics::{LayoutMetrics, PhysicalMetrics};
 use mlv_grid::pdk::Pdk;
+use mlv_grid::streaming::{metrics_stream, StreamSource};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -129,8 +130,6 @@ pub struct JobOutcome {
     pub metrics: LayoutMetrics,
     /// Legality-check status.
     pub check: CheckStatus,
-    /// Per-pass wall-clock timing of the (single) realization.
-    pub timing: PassTimings,
     /// Physical (pitch/via-weighted) metrics — present only for jobs
     /// realized onto a non-uniform stack.
     pub physical: Option<PhysicalMetrics>,
@@ -139,7 +138,7 @@ pub struct JobOutcome {
     /// The job itself still succeeds — geometry and grid metrics are
     /// PDK-independent.
     pub phys_error: Option<String>,
-    /// The layout itself, kept only when
+    /// The layout itself, materialized from the job's tiles only when
     /// [`EngineOptions::keep_layouts`] is set.
     pub layout: Option<Layout>,
 }
@@ -227,18 +226,14 @@ pub struct EngineOptions {
     /// Run the full legality checker (with the job's reference graph)
     /// on every fresh realization.
     pub check: bool,
-    /// Keep the realized [`Layout`] in each outcome (costs memory;
-    /// needed by callers that post-process layouts, e.g. the
-    /// conformance harness's injection stage).
+    /// Materialize each job's tiles into a flat [`Layout`] and keep it
+    /// in the outcome (costs time and memory; needed by callers that
+    /// post-process layouts, e.g. the conformance harness's injection
+    /// stage).
     pub keep_layouts: bool,
     /// Maximum memoized realizations; the oldest entry is evicted
     /// first (insertion order).
     pub cache_capacity: usize,
-    /// Recycle pass scratch (and discarded layouts' buffers) across
-    /// jobs through the engine's pool. Defaults to on unless the
-    /// `MLV_FRESH_ALLOC` debug mode is requested; results are
-    /// byte-identical either way.
-    pub reuse_scratch: bool,
 }
 
 impl Default for EngineOptions {
@@ -247,7 +242,6 @@ impl Default for EngineOptions {
             check: true,
             keep_layouts: false,
             cache_capacity: 1024,
-            reuse_scratch: !arena::fresh_alloc_requested(),
         }
     }
 }
@@ -269,7 +263,6 @@ pub struct Engine {
     map: HashMap<u64, Arc<JobOutcome>>,
     order: VecDeque<u64>,
     stats: CacheStats,
-    pool: ScratchPool,
 }
 
 impl Engine {
@@ -280,7 +273,6 @@ impl Engine {
             map: HashMap::new(),
             order: VecDeque::new(),
             stats: CacheStats::default(),
-            pool: ScratchPool::default(),
         }
     }
 
@@ -351,14 +343,13 @@ impl Engine {
         // records its queue-to-start latency (enqueue = batch entry)
         let lead_jobs: Vec<&Job> = leaders.iter().map(|&i| &jobs[i]).collect();
         let opts = &self.opts;
-        let pool = &self.pool;
         let queued = std::time::Instant::now();
         let outcomes: Vec<Arc<JobOutcome>> = exec::par_map(&lead_jobs, |_, j| {
             mlv_core::histogram!(
                 "engine.job.queue_ns",
                 queued.elapsed().as_nanos().min(u64::MAX as u128) as u64
             );
-            Arc::new(compute(j, opts, pool))
+            Arc::new(compute(j, opts))
         });
 
         // memoize in leader order (deterministic eviction)
@@ -411,37 +402,30 @@ impl Engine {
     }
 }
 
-/// One fresh realization: timed pipeline, metrics, content digest, and
-/// (when requested) the full legality check.
-///
-/// The pass scratch is checked out of the pool *by value* and only
-/// returned after the whole job succeeds — a panicking realization
-/// drops its scratch instead of recycling it, so reuse is panic-safe.
-fn compute(job: &Job, opts: &EngineOptions, pool: &ScratchPool) -> JobOutcome {
+/// One fresh realization into tiles: metrics, physical metrics,
+/// content digest, and (when requested) the full legality check, all
+/// walking the tile instances. The pass scratch is this worker
+/// thread's own (`crate::arena`), so a panicking job leaves nothing
+/// shared behind.
+fn compute(job: &Job, opts: &EngineOptions) -> JobOutcome {
     let _job = mlv_core::span!("engine.job");
-    let mut scratch = if opts.reuse_scratch {
-        pool.take()
-    } else {
-        Scratch::new()
-    };
     let pdk = job.effective_pdk();
     let mut ropts = RealizeOptions::with_layers(job.layers);
     ropts.pdk = pdk.cloned();
-    let (layout, timing) = realize_timed_with(&job.family.spec, &ropts, &mut scratch);
-    let metrics = LayoutMetrics::of(&layout);
-    let (physical, phys_error) = match pdk.map(|p| PhysicalMetrics::of(&layout, p)) {
+    let tiled = realize_tiled(&job.family.spec, &ropts);
+    let metrics = metrics_stream(&tiled);
+    let (physical, phys_error) = match pdk.map(|p| PhysicalMetrics::of(&tiled, p)) {
         None => (None, None),
         Some(Ok(ph)) => (Some(ph), None),
         Some(Err(e)) => (None, Some(e)),
     };
-    mlv_grid::io::write_layout_into(&layout, &mut scratch.io_buf);
-    let digest = fnv1a(FNV_BASIS, scratch.io_buf.as_bytes());
+    let digest = layout_digest(&tiled);
     mlv_core::histogram!("engine.job.wires", metrics.wire_count as u64);
     mlv_core::histogram!("engine.job.area", metrics.area);
     let check = if opts.check {
         let r = match pdk {
-            Some(p) => checker::check_with_pdk(&layout, Some(&job.family.graph), p),
-            None => checker::check(&layout, Some(&job.family.graph)),
+            Some(p) => checker::check_with_pdk(&tiled, Some(&job.family.graph), p),
+            None => checker::check(&tiled, Some(&job.family.graph)),
         };
         if r.is_legal() {
             CheckStatus::Legal
@@ -451,31 +435,33 @@ fn compute(job: &Job, opts: &EngineOptions, pool: &ScratchPool) -> JobOutcome {
     } else {
         CheckStatus::Skipped
     };
-    let layout = if opts.keep_layouts {
-        Some(layout)
-    } else {
-        scratch.recycle_layout(layout);
-        None
-    };
-    if opts.reuse_scratch {
-        pool.put(scratch);
-    }
     JobOutcome {
         digest,
         metrics,
         check,
-        timing,
         physical,
         phys_error,
-        layout,
+        layout: opts.keep_layouts.then(|| tiled.materialize()),
     }
 }
 
-/// FNV-1a content digest of a layout: over the canonical `mlv_grid::io`
-/// text serialization, so equal digests mean byte-identical layouts
-/// under the documented round-trip guarantee.
-pub fn layout_digest(layout: &Layout) -> u64 {
-    fnv1a(FNV_BASIS, mlv_grid::io::write_layout(layout).as_bytes())
+/// FNV-1a content digest of a layout — a flat [`Layout`] or any other
+/// [`StreamSource`], such as a tiled IR — over the canonical
+/// `mlv_grid::io` text serialization, so equal digests mean
+/// byte-identical layout files under the documented round-trip
+/// guarantee. The text is hashed as it is written, never built.
+pub fn layout_digest<S: StreamSource + ?Sized>(src: &S) -> u64 {
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = fnv1a(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Fnv(FNV_BASIS);
+    // hashing cannot fail
+    let _ = mlv_grid::io::write_layout_to(src, &mut h);
+    h.0
 }
 
 /// Memo key of one job: FNV-1a over the canonical spec content
@@ -615,8 +601,6 @@ mod tests {
             assert_eq!(res.outcome.check, CheckStatus::Legal);
             assert!(res.outcome.metrics.area > 0);
         }
-        // every fresh realization carries pass timing
-        assert!(r[0].outcome.timing.total_ns() > 0);
     }
 
     #[test]

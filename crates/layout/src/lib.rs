@@ -53,6 +53,6 @@ pub mod scheme;
 pub mod spec;
 pub mod tiled;
 
-pub use realize::{realize, realize_fresh, recycle, RealizeOptions};
+pub use realize::{realize, RealizeOptions};
 pub use spec::{ColWire, JogWire, OrthogonalSpec, RowWire};
 pub use tiled::{realize_tiled, realize_tiled_3d, TileInstance, TileShape, TiledLayout};

@@ -1,15 +1,12 @@
-//! Shared wire-geometry resolution: the single source of the concrete
-//! corner arithmetic, used by both the flat emit pass and the tiled-IR
-//! producer.
+//! Wire-geometry resolution for the emit pass: the single source of
+//! the concrete corner arithmetic.
 //!
 //! [`Resolver::resolve`] maps one wire index to a [`WireGeom`]: a
 //! [`TileShape`] (the corner-sequence shape plus its layer indices) and
 //! the six anchor coordinates that place it (terminals `a`/`b` and the
 //! absolute track coordinates `t1`/`t2`). Expanding the shape at those
-//! coordinates ([`TileShape::extend_corners`]) reproduces the emit
-//! pass's corner sequences exactly — byte-identity between the flat and
-//! tiled backends holds by construction because there is only one copy
-//! of this arithmetic.
+//! coordinates ([`TileShape::extend_corners`]) yields the wire's corner
+//! sequence, for the streaming walk and for `materialize` alike.
 
 use super::{SlabMap, WireKind};
 use crate::passes::layers::LayerAssign;

@@ -16,17 +16,19 @@
 //!   layers     — odd/even group-to-layer assignment (x-runs on layer
 //!        │       2g, y-runs on 2g+1), slab z-bases for the 3-D model
 //!        ▼
-//!   emit       — concrete geometry: prefix-sum gap origins, node
-//!        │       rectangles, and WirePath generation
+//!   emit       — concrete geometry: prefix-sum gap origins and one
+//!        │       tile instance per wire
 //!        ▼
-//!   mlv_grid::Layout
+//!   crate::tiled::TiledLayout
 //! ```
 //!
-//! Both public realizers are thin drivers over this pipeline:
-//! [`mod@crate::realize`] runs it with a single slab (`L_A = 1`) and
-//! [`crate::realize3d`] with `L_A ≥ 1` slabs — the 2-D scheme *is* the
-//! 1-slab special case, so the two no longer duplicate the track and
-//! terminal machinery.
+//! Both tiled realizers are thin drivers over this pipeline:
+//! [`crate::tiled::realize_tiled`] runs it with a single slab
+//! (`L_A = 1`) and [`crate::tiled::realize_tiled_3d`] with `L_A ≥ 1`
+//! slabs — the 2-D scheme *is* the 1-slab special case, so the two do
+//! not duplicate the track and terminal machinery. The flat
+//! [`mlv_grid::Layout`] is derived from the tiles on demand
+//! ([`crate::tiled::TiledLayout::materialize`]).
 //!
 //! The IR is **struct-of-arrays**: every pass reads and writes flat
 //! index vectors inside one reusable `crate::arena::Scratch`
@@ -35,7 +37,8 @@
 //! colouring disciplines). Per-stage products stay explicit — they are
 //! just columns of the scratch instead of per-pass structs — so
 //! alternative track-assignment passes can still be swapped in, while
-//! a reused scratch makes the steady-state pipeline allocation-free.
+//! a reused scratch leaves the emitted tiles as the only steady-state
+//! allocation.
 
 pub(crate) mod emit;
 pub(crate) mod geometry;
@@ -46,7 +49,7 @@ pub(crate) mod tracks;
 use crate::arena::Scratch;
 use crate::realize::JogStrategy;
 use crate::spec::OrthogonalSpec;
-use mlv_grid::layout::Layout;
+use crate::tiled::TiledLayout;
 use mlv_grid::pdk::{Dir, Pdk};
 
 /// Pipeline configuration shared by every pass.
@@ -244,48 +247,15 @@ pub const SPAN_PIPELINE: &str = "pipeline";
 /// Span keys of the four passes, in pipeline order.
 pub const PASS_SPANS: [&str; 4] = ["pass.placement", "pass.tracks", "pass.layers", "pass.emit"];
 
-/// Wall-clock nanoseconds spent in each pass of one realization — a
-/// *view* over the trace the pipeline records (see
-/// [`PassTimings::from_trace`]), reported per job by the batch engine
-/// ([`crate::engine`]) and the `bench_layout` micro-bench.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PassTimings {
-    /// Placement pass (wire classification + footprint sizing).
-    pub placement_ns: u64,
-    /// Tracks pass (bundling, jog colouring, gap widths).
-    pub tracks_ns: u64,
-    /// Layers pass (group-to-layer assignment).
-    pub layers_ns: u64,
-    /// Emit pass (prefix sums + geometry generation).
-    pub emit_ns: u64,
-}
-
-impl PassTimings {
-    /// Total nanoseconds across the four passes.
-    pub fn total_ns(&self) -> u64 {
-        self.placement_ns + self.tracks_ns + self.layers_ns + self.emit_ns
-    }
-
-    /// Extract the four pass totals from a trace aggregate (the
-    /// [`PASS_SPANS`] keys). With a per-realization trace this is the
-    /// per-job timing; with a run-wide trace it is the cumulative
-    /// per-pass breakdown.
-    pub fn from_trace(agg: &mlv_core::trace::Aggregate) -> PassTimings {
-        let ns = |key: &str| agg.span(key).map(|s| s.total_ns).unwrap_or(0);
-        PassTimings {
-            placement_ns: ns(PASS_SPANS[0]),
-            tracks_ns: ns(PASS_SPANS[1]),
-            layers_ns: ns(PASS_SPANS[2]),
-            emit_ns: ns(PASS_SPANS[3]),
-        }
-    }
-}
-
-/// Run the full pipeline: placement → tracks → layers → emit, filling
-/// (and reusing) the caller's [`Scratch`]. Each stage runs under its
-/// [`PASS_SPANS`] span (inert unless a trace is installed), with the
-/// whole pipeline wrapped in [`SPAN_PIPELINE`].
-pub(crate) fn run_pipeline(spec: &OrthogonalSpec, cfg: &PassConfig, s: &mut Scratch) -> Layout {
+/// Run the full pipeline into the tiled IR: placement → tracks →
+/// layers → emit, filling (and reusing) the caller's [`Scratch`]. Each
+/// stage runs under its [`PASS_SPANS`] span (inert unless a trace is
+/// installed), with the whole pipeline wrapped in [`SPAN_PIPELINE`].
+pub(crate) fn run_pipeline(
+    spec: &OrthogonalSpec,
+    cfg: &PassConfig,
+    s: &mut Scratch,
+) -> TiledLayout {
     let _pipeline = mlv_core::span!(SPAN_PIPELINE);
     let ctx = PassContext::new(cfg);
     {
@@ -302,45 +272,4 @@ pub(crate) fn run_pipeline(spec: &OrthogonalSpec, cfg: &PassConfig, s: &mut Scra
     }
     let _s = pass_span(PASS_SPANS[3], &ctx);
     emit::run(spec, cfg, &ctx, s)
-}
-
-/// Run the full pipeline into the **tiled IR**: the same placement →
-/// tracks → layers stages (same spans) with the emit stage producing a
-/// [`crate::tiled::TiledLayout`] instead of flat geometry.
-pub(crate) fn run_pipeline_tiled(
-    spec: &OrthogonalSpec,
-    cfg: &PassConfig,
-    s: &mut Scratch,
-) -> crate::tiled::TiledLayout {
-    let _pipeline = mlv_core::span!(SPAN_PIPELINE);
-    let ctx = PassContext::new(cfg);
-    {
-        let _s = pass_span(PASS_SPANS[0], &ctx);
-        placement::run(spec, cfg, s);
-    }
-    {
-        let _s = pass_span(PASS_SPANS[1], &ctx);
-        tracks::run(spec, cfg, &ctx, s);
-    }
-    {
-        let _s = pass_span(PASS_SPANS[2], &ctx);
-        layers::run(spec, &ctx, s);
-    }
-    let _s = pass_span(PASS_SPANS[3], &ctx);
-    emit::run_tiled(spec, cfg, &ctx, s)
-}
-
-/// [`run_pipeline`] under a local [`mlv_core::trace::Trace`], with the
-/// per-pass span totals extracted into a [`PassTimings`]. Events also
-/// flow into any enclosing trace (nesting), so a run-wide trace still
-/// sees every pass span of every timed realization.
-pub(crate) fn run_pipeline_timed(
-    spec: &OrthogonalSpec,
-    cfg: &PassConfig,
-    s: &mut Scratch,
-) -> (Layout, PassTimings) {
-    let local = mlv_core::trace::Trace::new();
-    let layout = local.collect(|| run_pipeline(spec, cfg, s));
-    let timings = PassTimings::from_trace(&local.aggregate());
-    (layout, timings)
 }

@@ -1,9 +1,10 @@
 //! Realization: turning an [`OrthogonalSpec`] plus a layer budget `L`
 //! into a concrete, checker-verifiable [`mlv_grid::Layout`].
 //!
-//! This is a thin driver over the staged [`crate::passes`] pipeline
-//! (placement → tracks → layers → emit), run with a single slab
-//! (`L_A = 1`). See the pass modules for the scheme's mechanics:
+//! [`realize`] materializes [`crate::tiled::realize_tiled`]: the staged
+//! [`crate::passes`] pipeline (placement → tracks → layers → emit), run
+//! with a single slab (`L_A = 1`), emits tiles, and the flat layout is
+//! expanded from them. See the pass modules for the scheme's mechanics:
 //!
 //! - `passes::placement` — node footprints and the terminal
 //!   ordering discipline (arriving < jogging < departing wires).
@@ -14,38 +15,14 @@
 //!   area gain (§2.4).
 //! - `passes::layers` — group `g`'s x-segments on layer `2g`,
 //!   y-segments on `2g+1`; odd `L` leaves the top layer unused.
-//! - `passes::emit` — prefix-sum geometry and [`WirePath`]
-//!   generation.
-//!
-//! [`WirePath`]: mlv_grid::path::WirePath
+//! - `passes::emit` — prefix-sum geometry and one tile instance per
+//!   wire.
 
-use crate::arena::{self, Scratch};
-use crate::passes::{self, PassConfig};
+use crate::passes::PassConfig;
 use crate::spec::OrthogonalSpec;
 use mlv_grid::layout::Layout;
 use mlv_topology::{Graph, NodeId};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-
-thread_local! {
-    /// Per-thread pass scratch reused across realizations (the batch
-    /// engine pools its own scratches instead; see `crate::arena`).
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-}
-
-/// Run `f` with this thread's reusable scratch — or a fresh one when
-/// `MLV_FRESH_ALLOC` requests the fresh-allocation debug mode or the
-/// thread-local is already borrowed (re-entrant realization from
-/// inside a pass would be a bug, but must not abort).
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    if arena::fresh_alloc_requested() {
-        return f(&mut Scratch::new());
-    }
-    SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut s) => f(&mut s),
-        Err(_) => f(&mut Scratch::new()),
-    })
-}
 
 /// How jog wires are distributed over the `⌊L/2⌋` layer groups.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -98,65 +75,14 @@ impl RealizeOptions {
     }
 }
 
-/// Realize a spec into a concrete multilayer grid layout.
+/// Realize a spec into a concrete multilayer grid layout: the tiled
+/// realization, materialized.
 ///
 /// # Panics
 /// If the spec is invalid, `opts.layers < 2`, or `opts.node_side` is
 /// below the minimum terminal demand.
 pub fn realize(spec: &OrthogonalSpec, opts: &RealizeOptions) -> Layout {
-    with_scratch(|s| passes::run_pipeline(spec, &pass_config(spec, opts), s))
-}
-
-/// [`realize`] with a brand-new scratch, bypassing the thread-local
-/// reuse entirely — the fresh-allocation reference the arena proptests
-/// and `bench_layout --check-regression=self` compare against.
-///
-/// # Panics
-/// As [`realize`].
-pub fn realize_fresh(spec: &OrthogonalSpec, opts: &RealizeOptions) -> Layout {
-    passes::run_pipeline(spec, &pass_config(spec, opts), &mut Scratch::new())
-}
-
-/// [`realize`], additionally reporting per-pass wall-clock timing —
-/// the instrumented entry point the batch engine ([`crate::engine`])
-/// and the realization micro-bench drive.
-///
-/// # Panics
-/// As [`realize`].
-pub fn realize_timed(
-    spec: &OrthogonalSpec,
-    opts: &RealizeOptions,
-) -> (Layout, passes::PassTimings) {
-    with_scratch(|s| passes::run_pipeline_timed(spec, &pass_config(spec, opts), s))
-}
-
-/// Return a finished [`Layout`] 's buffers to this thread's reusable
-/// scratch: its corner buffers feed the next realization's wire paths
-/// and its node/wire vectors are handed back verbatim. Call it from
-/// steady-state hot loops (realize → consume → recycle) to make
-/// repeated realization on one thread allocation-free; the batch
-/// engine does the equivalent through its scratch pool. A no-op under
-/// `MLV_FRESH_ALLOC`. Never required for correctness — dropping the
-/// layout instead merely allocates afresh next time.
-pub fn recycle(layout: Layout) {
-    if arena::fresh_alloc_requested() {
-        return;
-    }
-    SCRATCH.with(|cell| {
-        if let Ok(mut s) = cell.try_borrow_mut() {
-            s.recycle_layout(layout);
-        }
-    });
-}
-
-/// [`realize_timed`] on a caller-provided scratch — the batch engine's
-/// entry point, fed from its [`crate::arena::ScratchPool`].
-pub(crate) fn realize_timed_with(
-    spec: &OrthogonalSpec,
-    opts: &RealizeOptions,
-    s: &mut Scratch,
-) -> (Layout, passes::PassTimings) {
-    passes::run_pipeline_timed(spec, &pass_config(spec, opts), s)
+    crate::tiled::realize_tiled(spec, opts).materialize()
 }
 
 pub(crate) fn pass_config(spec: &OrthogonalSpec, opts: &RealizeOptions) -> PassConfig {

@@ -21,9 +21,10 @@
 //! jog inside the destination slab (riser-column y-run, destination row
 //! bundle x-run, top-edge terminal).
 //!
-//! This is a thin driver over the staged [`crate::passes`] pipeline —
-//! the same four passes as [`mod@crate::realize`], run with `L_A ≥ 1`
-//! slabs; the 2-D realizer is exactly the `L_A = 1` special case.
+//! [`realize_3d`] materializes [`crate::tiled::realize_tiled_3d`]: the
+//! staged [`crate::passes`] pipeline — the same four passes as
+//! [`mod@crate::realize`], run with `L_A ≥ 1` slabs; the 2-D realizer is
+//! exactly the `L_A = 1` special case.
 //!
 //! ## When it pays
 //!
@@ -39,8 +40,6 @@
 //! measures this boundary; the paper's deferred general construction
 //! would need a shared z-track discipline instead of private risers.
 
-use crate::passes::{self, PassConfig};
-use crate::realize::JogStrategy;
 use crate::spec::OrthogonalSpec;
 use mlv_grid::layout::Layout;
 
@@ -93,22 +92,7 @@ impl Realize3dOptions {
 /// # Panics
 /// If the spec is invalid or [`Realize3dOptions::validate`] fails.
 pub fn realize_3d(spec: &OrthogonalSpec, opts: &Realize3dOptions) -> Layout {
-    spec.assert_valid();
-    if let Err(e) = opts.validate() {
-        panic!("need L_A | L, L/L_A >= 2: {e}");
-    }
-    let cfg = PassConfig {
-        layers: opts.layers,
-        active_layers: opts.active_layers,
-        node_side: opts.node_side,
-        jog_strategy: JogStrategy::RoundRobin,
-        layout_name: format!(
-            "{} @ L={} LA={} (3-D)",
-            spec.name, opts.layers, opts.active_layers
-        ),
-        pdk: opts.pdk.clone(),
-    };
-    crate::realize::with_scratch(|s| passes::run_pipeline(spec, &cfg, s))
+    crate::tiled::realize_tiled_3d(spec, opts).materialize()
 }
 
 #[cfg(test)]

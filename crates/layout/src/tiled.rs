@@ -1,7 +1,8 @@
 //! The hierarchical **tiled layout IR**: a small table of distinct tile
 //! shapes plus an instantiation map, produced directly by the pass
-//! pipeline — the flat [`Layout`] is demoted to one materialization
-//! backend ([`TiledLayout::materialize`]).
+//! pipeline. It is the one product of the emit pass; the flat
+//! [`Layout`] is derived from it on demand ([`TiledLayout::materialize`])
+//! for import, export and the analyses that need stored geometry.
 //!
 //! The paper's constructions are intensely repetitive: every wire the
 //! emit pass generates is one of four corner-sequence *shapes* (row
@@ -19,15 +20,17 @@
 //!   (`col_x0` / `slot_y0` prefix sums, node-id permutation, slab
 //!   stacking), so node placements cost no per-node storage at all.
 //!
-//! Geometry is resolved by the **same** `passes::geometry` arithmetic
-//! the flat emit pass uses, so `materialize()` is byte-identical to
-//! [`crate::realize::realize`] by construction — the conformance
-//! harness's tiled-vs-flat differential oracle pins this. For
-//! verification at scales where materializing is hopeless, the IR
-//! implements [`mlv_grid::streaming::StreamSource`]: the checker and
-//! the streaming metrics walk tile instances expanding one ~10-corner
-//! buffer at a time.
+//! The IR implements [`mlv_grid::streaming::StreamSource`]: the
+//! checker, the streaming metrics, the physical metrics and the text
+//! serializer (hence the engine's layout digest) walk tile instances,
+//! expanding one ~10-corner buffer at a time. The walk yields each
+//! shape's raw corners; `materialize` stores them through
+//! [`WirePath::new`], which collapses repeated corners, and the
+//! serializer writes a repeated corner once, so both give the same
+//! bytes.
 
+use crate::arena::with_scratch;
+use crate::passes::run_pipeline;
 use crate::realize::RealizeOptions;
 use crate::realize3d::Realize3dOptions;
 use crate::spec::OrthogonalSpec;
@@ -99,8 +102,8 @@ impl TileShape {
         }
     }
 
-    /// Expand the shape at instance coordinates into `out` — the exact
-    /// corner sequence the flat emit pass generates for this wire.
+    /// Expand the shape at instance coordinates into `out` — the wire's
+    /// raw corner sequence (a degenerate segment repeats a corner).
     /// `(ax, ay)` / `(bx, by)` are the a/b terminals; `t1` / `t2` are
     /// the shape's absolute track coordinates (see variant docs).
     #[allow(clippy::too_many_arguments)]
@@ -227,7 +230,7 @@ pub struct TileInstance {
 /// node grid. See the module docs.
 #[derive(Clone, Debug)]
 pub struct TiledLayout {
-    /// Layout name (same as the flat realization's).
+    /// Layout name (same as the materialized layout's).
     pub name: String,
     /// Layer budget `L`.
     pub layers: usize,
@@ -277,8 +280,8 @@ impl TiledLayout {
         }
     }
 
-    /// Materialize the flat [`Layout`] — byte-identical (same canonical
-    /// serialization, same FNV digest) to realizing the spec directly.
+    /// Materialize the flat [`Layout`]: its canonical serialization
+    /// (and so its FNV digest) is byte-identical to the tiles' own.
     pub fn materialize(&self) -> Layout {
         let mut layout = Layout {
             name: self.name.clone(),
@@ -399,20 +402,20 @@ impl StreamSource for TiledLayout {
     }
 }
 
-/// Realize a spec into the tiled IR (2-D multilayer grid model) — the
-/// same pass pipeline as [`crate::realize::realize`], with the emit
-/// stage producing tiles instead of flat geometry.
+/// Realize a spec into the tiled IR (2-D multilayer grid model) on
+/// this thread's reusable pass scratch. [`crate::realize::realize`] is
+/// this, materialized.
 ///
 /// # Panics
 /// If the spec is invalid or `opts.layers < 2`.
 pub fn realize_tiled(spec: &OrthogonalSpec, opts: &RealizeOptions) -> TiledLayout {
     let cfg = crate::realize::pass_config(spec, opts);
-    crate::realize::with_scratch(|s| crate::passes::run_pipeline_tiled(spec, &cfg, s))
+    with_scratch(|s| run_pipeline(spec, &cfg, s))
 }
 
 /// Realize a spec into the tiled IR in the multilayer 3-D grid model
-/// (the [`crate::realize3d`] driver's tiled counterpart; slab-crossing
-/// wires become [`TileShape::Riser`] tiles).
+/// (slab-crossing wires become [`TileShape::Riser`] tiles).
+/// [`crate::realize3d::realize_3d`] is this, materialized.
 ///
 /// # Panics
 /// If the spec is invalid or [`Realize3dOptions::validate`] fails.
@@ -432,7 +435,7 @@ pub fn realize_tiled_3d(spec: &OrthogonalSpec, opts: &Realize3dOptions) -> Tiled
         ),
         pdk: opts.pdk.clone(),
     };
-    crate::realize::with_scratch(|s| crate::passes::run_pipeline_tiled(spec, &cfg, s))
+    with_scratch(|s| run_pipeline(spec, &cfg, s))
 }
 
 #[cfg(test)]
@@ -445,29 +448,9 @@ mod tests {
     use super::*;
     use crate::engine::layout_digest;
     use crate::families;
-    use crate::realize::realize;
     use mlv_grid::checker::check;
     use mlv_grid::streaming::metrics_stream;
     use mlv_grid::LayoutMetrics;
-
-    #[test]
-    fn materialize_is_byte_identical_to_flat_realization() {
-        for (fam, layers) in [
-            (families::hypercube(4), 4),
-            (families::karyn_cube(4, 2, false), 3),
-            (families::ccc(3), 2),
-        ] {
-            let opts = RealizeOptions::with_layers(layers);
-            let flat = realize(&fam.spec, &opts);
-            let tiled = realize_tiled(&fam.spec, &opts);
-            assert_eq!(
-                layout_digest(&tiled.materialize()),
-                layout_digest(&flat),
-                "{} L={layers}",
-                fam.spec.name
-            );
-        }
-    }
 
     #[test]
     fn tile_table_is_small() {
@@ -512,7 +495,9 @@ mod tests {
         };
         let flat = crate::realize3d::realize_3d(&fam.spec, &opts);
         let tiled = realize_tiled_3d(&fam.spec, &opts);
-        assert_eq!(layout_digest(&tiled.materialize()), layout_digest(&flat));
+        // the streamed serialization of the tiles, against the stored
+        // (materialized) flat layout
+        assert_eq!(layout_digest(&tiled), layout_digest(&flat));
         assert!(tiled
             .tiles
             .iter()

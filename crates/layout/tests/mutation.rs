@@ -70,7 +70,7 @@ fn strategies_cover_every_check_error_variant() {
         let hv6 = strategy.needs_pdk().then(mlv_grid::pdk::Pdk::hv6);
         let fam = families::hypercube(4);
         let mut layout = match &hv6 {
-            Some(pdk) => mlv_layout::realize_fresh(
+            Some(pdk) => mlv_layout::realize(
                 &fam.spec,
                 &mlv_layout::RealizeOptions::with_pdk(4, pdk.clone()),
             ),

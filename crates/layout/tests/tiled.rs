@@ -1,52 +1,91 @@
-//! Tiled-vs-flat byte-identity across the registry's lattice
-//! vocabulary: for every lattice-bearing family and every layer budget
-//! in the pool, materializing the tiled IR must serialize to exactly
-//! the bytes the flat realizer emits — pinned via the engine's FNV
-//! layout digest. Under a non-uniform PDK the checker gives the same
-//! report on the tiled IR as on its materialization.
+//! The tiled IR against its own materialization, across the registry's
+//! lattice vocabulary. Every realization is tiles first and a flat
+//! layout only by `materialize`, so these tests compare two
+//! `StreamSource` walks of the same geometry:
 //!
-//! The fresh-allocation variant of the same sweep lives in
-//! `tests/tiled_fresh_alloc.rs` (its own binary: `MLV_FRESH_ALLOC` is
-//! process-global).
+//! * the text serialization streamed from the tiles — raw corner
+//!   sequences, a degenerate segment repeating a corner — must be the
+//!   exact bytes `write_layout` produces from the materialized layout,
+//!   whose wire paths store each run of repeated corners once;
+//! * the direction/pitch checker must give the same report on both.
+//!
+//! Absolute geometry is pinned separately, by `geometry_digests.rs`.
 
 use mlv_core::rng::Rng;
 use mlv_grid::checker::check_with_pdk;
-use mlv_layout::engine::layout_digest;
+use mlv_grid::io::write_layout;
+use mlv_grid::pdk::Pdk;
+use mlv_grid::streaming::StreamSource;
+use mlv_layout::realize3d::Realize3dOptions;
 use mlv_layout::registry::{self, LAYER_POOL};
-use mlv_layout::RealizeOptions;
+use mlv_layout::{RealizeOptions, TiledLayout};
 
-const SEED: u64 = 2000;
-
-/// Realize every (lattice family, L) pair both ways and compare
-/// digests; returns the number of pairs checked.
-fn sweep_identity() -> usize {
-    let mut checked = 0;
-    for entry in registry::REGISTRY {
-        let Some(lattice) = &entry.lattice else {
-            continue;
-        };
-        let mut rng = Rng::seed_from_u64(SEED);
-        let draw = (lattice.draw)(&mut rng);
-        for &layers in &LAYER_POOL {
-            let opts = RealizeOptions::with_layers(layers);
-            let flat = draw.family.realize_with(&opts);
-            let tiled = mlv_layout::realize_tiled(&draw.family.spec, &opts);
-            assert_eq!(
-                layout_digest(&tiled.materialize()),
-                layout_digest(&flat),
-                "{} @ L={layers}: tiled materialization diverged from flat",
-                draw.label
-            );
-            checked += 1;
-        }
-    }
-    checked
+/// Compare one tiled realization with its materialization; returns the
+/// number of its wires whose raw corner sequence repeats a corner.
+fn differential(what: &str, tiled: &TiledLayout, graph: &mlv_topology::Graph, pdk: &Pdk) -> usize {
+    let flat = tiled.materialize();
+    assert_eq!(
+        write_layout(tiled),
+        write_layout(&flat),
+        "{what}: streamed serialization diverged from the materialized layout"
+    );
+    assert_eq!(
+        check_with_pdk(tiled, Some(graph), pdk),
+        check_with_pdk(&flat, Some(graph), pdk),
+        "{what}: checker reports diverge"
+    );
+    let mut repeating = 0;
+    tiled.visit_wires(&mut |_, _, corners| {
+        repeating += corners.windows(2).any(|w| w[0] == w[1]) as usize;
+    });
+    repeating
 }
 
 #[test]
-fn lattice_materialize_matches_flat_sequential() {
-    let checked = sweep_identity();
-    assert!(checked >= LAYER_POOL.len(), "lattice sweep was empty");
+fn lattice_serialization_and_pdk_check_match_materialized() {
+    let (mut pairs, mut repeating) = (0, 0);
+    for seed in [2000, 2001, 2002] {
+        for entry in registry::REGISTRY {
+            let Some(lattice) = &entry.lattice else {
+                continue;
+            };
+            let draw = (lattice.draw)(&mut Rng::seed_from_u64(seed));
+            for &layers in &LAYER_POOL {
+                for pdk in [Pdk::uniform(layers), Pdk::hv6()] {
+                    let opts = RealizeOptions::with_pdk(layers, pdk.clone());
+                    let tiled = mlv_layout::realize_tiled(&draw.family.spec, &opts);
+                    let what = format!("{} @ L={layers} pdk={}", draw.label, pdk.name);
+                    repeating += differential(&what, &tiled, &draw.family.graph, &pdk);
+                    pairs += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(
+        pairs,
+        3 * registry::lattice_names().len() * LAYER_POOL.len() * 2
+    );
+    // the serializer's repeated-corner branch must actually run
+    assert!(
+        repeating > 0,
+        "no raw tile corner repeats in {pairs} layouts"
+    );
+}
+
+#[test]
+fn registry_examples_in_3d_serialize_like_their_materialization() {
+    for e in registry::REGISTRY {
+        let fam = registry::parse(e.example).expect("registry examples parse");
+        let opts = Realize3dOptions {
+            layers: 8,
+            active_layers: 2,
+            node_side: None,
+            pdk: None,
+        };
+        let tiled = mlv_layout::realize_tiled_3d(&fam.spec, &opts);
+        let what = format!("{} @ L=8 LA=2", e.example);
+        differential(&what, &tiled, &fam.graph, &Pdk::uniform(8));
+    }
 }
 
 /// A non-uniform stack threads through tiled realization, and the
