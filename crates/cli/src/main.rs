@@ -23,6 +23,7 @@ use mlv_grid::io::write_layout;
 use mlv_grid::metrics::{LayoutMetrics, PhysicalMetrics};
 use mlv_grid::streaming::{metrics_stream, StreamSource};
 use mlv_grid::svg::{render_svg, SvgOptions};
+use mlv_layout::passes::{check_stack, min_node_side};
 use mlv_layout::realize::{align_wires, RealizeOptions};
 use mlv_layout::realize3d::Realize3dOptions;
 use mlv_layout::{realize_tiled, realize_tiled_3d, registry, TiledLayout};
@@ -325,6 +326,18 @@ fn cmd_layout(args: &[String]) -> ExitCode {
     if let Some(Err(e)) = opts_3d.as_ref().map(Realize3dOptions::validate) {
         return fail(e);
     }
+    let active_layers = flags.active_layers.unwrap_or(1);
+    if let Err(e) = check_stack(pdk.as_ref(), layers, active_layers) {
+        return fail(e);
+    }
+    if let Some(side) = flags.node_side {
+        let demand = min_node_side(&family.spec, active_layers);
+        if side < demand {
+            return fail(format!(
+                "--node-side {side} is below the terminal demand: {spec} needs a node side of at least {demand}"
+            ));
+        }
+    }
     let tiled = match &opts_3d {
         Some(o) if o.active_layers > 1 => realize_tiled_3d(&family.spec, o),
         _ => realize_tiled(
@@ -511,6 +524,9 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             })
             .collect()
     };
+    if let Err(e) = validate_jobs(&jobs) {
+        return fail(e);
+    }
     let mut engine = Engine::new(EngineOptions {
         check: !flags.no_check,
         ..EngineOptions::default()
@@ -549,6 +565,13 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// The first job [`Job::validate`](mlv_layout::engine::Job::validate)
+/// rejects, labelled.
+fn validate_jobs(jobs: &[mlv_layout::engine::Job]) -> Result<(), String> {
+    jobs.iter()
+        .try_for_each(|j| j.validate().map_err(|e| format!("{}: {e}", j.label)))
 }
 
 /// Render an [`Aggregate`](mlv_core::trace::Aggregate) as the trace
@@ -605,6 +628,9 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         Some(p) => Job::with_pdk(spec.as_str(), family, layers, p),
         None => Job::new(spec.as_str(), family, layers),
     }];
+    if let Err(e) = validate_jobs(&jobs) {
+        return fail(e);
+    }
     let clock = std::time::Instant::now();
     let trace = mlv_core::trace::Trace::new();
     let report = trace.collect(|| engine.run(&jobs));

@@ -194,6 +194,84 @@ fn bad_active_layers_are_an_error() {
     }
 }
 
+/// Assert `mlv <args>` fails with exit 1, an `error: ` line naming
+/// `needle`, and no report.
+fn assert_error(args: &[&str], needle: &str) {
+    let out = mlv(args);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error: ") && l.contains(needle)),
+        "{args:?}: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} printed a report");
+}
+
+/// A `--node-side` one below the terminal demand is an error, not a
+/// panic, in 2-D, with `--tiled` and in 3-D; the demand itself
+/// realizes.
+#[test]
+fn node_side_below_the_demand_is_an_error() {
+    let spec = mlv_layout::registry::parse("hypercube:4").unwrap().spec;
+    for (extra, active_layers) in [
+        (&["--layers", "4"][..], 1),
+        (&["--layers", "4", "--tiled"][..], 1),
+        (&["--layers", "8", "--active-layers", "2"][..], 2),
+        (&["--layers", "8", "--active-layers", "2", "--tiled"][..], 2),
+    ] {
+        let demand = mlv_layout::passes::min_node_side(&spec, active_layers);
+        let (at, below) = (demand.to_string(), (demand - 1).to_string());
+        let args = |side| [&["layout", "hypercube:4", "--node-side", side][..], extra].concat();
+        assert!(mlv(&args(&at)).status.success(), "{:?}", args(&at));
+        assert_error(&args(&below), "terminal demand");
+    }
+}
+
+/// A stack that leaves a slab without an H/V layer pair is an error,
+/// not a panic, for every command that realizes.
+#[test]
+fn stack_without_an_hv_pair_is_an_error() {
+    let dir = std::env::temp_dir().join(format!("mlv-cli-allh-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("allh.pdk");
+    std::fs::write(
+        &path,
+        "mlvpdk 1\npdk allh\nlayer m1 H pitch=1 via=1\nlayer m2 H pitch=1 via=1\n",
+    )
+    .unwrap();
+    let pdk = format!("@{}", path.display());
+    let pdk = pdk.as_str();
+    for args in [
+        &["layout", "hypercube:4", "--layers", "4", "--pdk", pdk][..],
+        &[
+            "layout",
+            "hypercube:4",
+            "--layers",
+            "4",
+            "--tiled",
+            "--pdk",
+            pdk,
+        ][..],
+        &[
+            "layout",
+            "hypercube:4",
+            "--layers",
+            "8",
+            "--active-layers",
+            "2",
+            "--pdk",
+            pdk,
+        ][..],
+        &["sweep", "hypercube:4", "--layers", "2,4", "--pdk", pdk][..],
+        &["profile", "hypercube:4", "--layers", "4", "--pdk", pdk][..],
+    ] {
+        assert_error(args, "without an H/V layer pair");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--save` writes the same bytes from the streaming and the full
 /// report path, in 2-D and 3-D, and `mlv check` accepts the file.
 #[test]

@@ -41,8 +41,11 @@
 //!   which meets runs and other diagonals in the same sweep, run in
 //!   coordinates whose axes are the two directions.
 //!
-//! An illegal layout visits only the points it reports. The check runs
-//! on the calling thread, so the report cannot depend on thread count.
+//! A wire has at most one run per segment, so a first walk over the
+//! source sums that bound and the run array is allocated once, never
+//! regrown. An illegal layout visits only the points it reports. The
+//! check runs on the calling thread, so the report cannot depend on
+//! thread count.
 
 use crate::geom::Point3;
 use crate::hasher::FxBuildHasher;
@@ -228,6 +231,12 @@ pub fn check<S: StreamSource + ?Sized>(src: &S, reference: Option<&Graph>) -> Ch
     let fp = FpIndex::build(&placements);
     let placed: HashMap<NodeId, i32, FxBuildHasher> =
         placements.iter().map(|n| (n.node, n.layer)).collect();
+    // a wire splits into at most one run per segment, or one run if it
+    // has a single corner, so the run array is sized once
+    let mut run_bound = 0usize;
+    src.visit_wires(&mut |_, _, corners| {
+        run_bound += corners.len().saturating_sub(1).max(1);
+    });
 
     let mut scan = WireScan {
         rules: WireRules {
@@ -239,7 +248,7 @@ pub fn check<S: StreamSource + ?Sized>(src: &S, reference: Option<&Graph>) -> Ch
         wires: 0,
         wire_points: 0,
         multiset: reference.map(|_| Vec::new()),
-        runs: Vec::new(),
+        runs: Vec::with_capacity(run_bound),
         diagonals: Vec::new(),
         path: Vec::new(),
         scratch: Vec::new(),

@@ -2,11 +2,14 @@
 //! buffer the placement → tracks → layers → emit pipeline allocates.
 //!
 //! One [`Scratch`] holds the flat index vectors the passes fill
-//! (products *and* intermediates). Each thread keeps one and reuses it
-//! across realizations ([`with_scratch`]), so the steady-state pipeline
-//! allocates little beyond the tiles it returns. This is the only
-//! allocation-reuse path: an engine job realizes on its worker's
-//! thread-local scratch too. Reuse pays where scratches are large:
+//! (products *and* intermediates), and a column keeps only what a later
+//! pass reads: placement leaves one 4-byte offset per terminal, and the
+//! emit pass recomputes the terminal's node and edge from the wire.
+//! Each thread keeps one and reuses it across realizations
+//! ([`with_scratch`]), so the steady-state pipeline allocates little
+//! beyond the tiles it returns. This is the only allocation-reuse path:
+//! an engine job realizes on its worker's thread-local scratch too.
+//! Reuse pays where scratches are large:
 //! without it `tiled-large` ran at 0.92× throughput and 1.11× median
 //! latency (EXPERIMENTS.md, "Performance — the hot-path rework").
 //!
@@ -14,7 +17,6 @@
 //! `clear()`s the vectors it writes, so a scratch left half-filled by a
 //! panicking realization cannot leak stale state into a later layout.
 
-use crate::passes::placement::TermSlot;
 use crate::passes::tracks::{IAssign, JAssign, TrackAssign};
 use crate::passes::SlabMap;
 use crate::passes::{layers::LayerAssign, WireKind};
@@ -35,13 +37,6 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     })
 }
 
-/// One flat terminal-item record, packed for sort speed:
-/// `(cell·8 | edge·4 | class, ki·2 | hi_end)`. Lexicographic order on
-/// the pair reproduces the AoS pipeline's per-cell stable sort by
-/// `(class, ki, hi_end)` exactly (cell and edge group the runs; the
-/// packed tails are unique, so unstable sorting is deterministic).
-pub(crate) type TermItem = (u64, u64);
-
 /// One closed interval awaiting greedy colouring:
 /// `(key, lo, hi, tag)`. Sorting reproduces the AoS pipeline's
 /// per-key *stable* sort by `(lo, hi)`: `tag` encodes insertion order
@@ -61,8 +56,10 @@ pub(crate) struct Scratch {
     pub side: i64,
     /// Per-wire classification, in emission order.
     pub kinds: Vec<WireKind>,
-    /// Terminal slots, indexed `2·ki + hi_end` (a-end at `2·ki`).
-    pub term: Vec<TermSlot>,
+    /// Terminal offsets along their node edges, indexed `2·ki + end`
+    /// (a-end at `2·ki`); `passes::placement::terminal` names the node
+    /// and edge.
+    pub term_off: Vec<u32>,
     // --- tracks products ------------------------------------------
     /// Per-wire track assignment, parallel to `kinds`.
     pub assign: Vec<TrackAssign>,
@@ -76,14 +73,14 @@ pub(crate) struct Scratch {
     /// Per-wire layer assignment, parallel to `kinds`.
     pub layer: Vec<LayerAssign>,
     // --- placement intermediates ----------------------------------
-    /// Flat terminal items, globally sorted.
-    pub items: Vec<TermItem>,
-    /// Max intra right-edge demand per `(slot, col)` stack.
-    pub stack_intra_max: Vec<u32>,
+    /// Terminal count per `(cell, edge, class)`, indexed
+    /// `cell·6 + edge·3 + class`; then each one's next offset.
+    pub edge_slots: Vec<u32>,
     /// Slab-crossing a-side terminals per `(slot, col)` stack.
     pub inter_per_stack: Vec<u32>,
-    /// Stack-allocation cursor per `(slot, col)`.
-    pub stack_counter: Vec<u32>,
+    /// Max intra right-edge demand per `(slot, col)` stack; then the
+    /// stack's next offset for slab-crossing a-side terminals.
+    pub stack_next: Vec<u32>,
     // --- tracks intermediates -------------------------------------
     /// Jog assignment by jog-wire index (intra jogs only).
     pub jassign: Vec<JAssign>,
@@ -122,16 +119,15 @@ impl Default for Scratch {
             },
             side: 0,
             kinds: Vec::new(),
-            term: Vec::new(),
+            term_off: Vec::new(),
             assign: Vec::new(),
             hpl_slot: Vec::new(),
             wpl: Vec::new(),
             track_width: Vec::new(),
             layer: Vec::new(),
-            items: Vec::new(),
-            stack_intra_max: Vec::new(),
+            edge_slots: Vec::new(),
             inter_per_stack: Vec::new(),
-            stack_counter: Vec::new(),
+            stack_next: Vec::new(),
             jassign: Vec::new(),
             iassign: Vec::new(),
             ivals: Vec::new(),

@@ -87,6 +87,13 @@ impl Job {
         }
     }
 
+    /// Check that the job can be realized: its stack must leave its
+    /// layer budget an H/V layer pair ([`crate::passes::check_stack`]).
+    /// Running a job this rejects panics.
+    pub fn validate(&self) -> Result<(), String> {
+        crate::passes::check_stack(self.pdk.as_ref(), self.layers, 1)
+    }
+
     /// The job's stack when it actually deviates from the uniform
     /// grid; `None` for both `pdk: None` and explicit uniform stacks.
     fn effective_pdk(&self) -> Option<&Pdk> {

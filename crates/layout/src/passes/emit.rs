@@ -6,8 +6,8 @@
 //! it; planar row slot `sl` likewise in y. Nodes are `s × s` rectangles
 //! on their slab's bottom layer, left implicit in the grid metadata;
 //! every wire becomes one [`TileInstance`] of a shape from a small
-//! [`crate::tiled::TileShape`] table, resolved from its terminal slots,
-//! track offsets, and layer assignment by [`super::geometry`].
+//! [`crate::tiled::TileShape`] table, resolved from its terminal
+//! offsets, track offsets, and layer assignment by [`super::geometry`].
 //!
 //! The wire loop runs on the calling thread. A realization is one
 //! engine job, and the engine already runs one job per worker, so the
@@ -60,7 +60,7 @@ pub(crate) fn run(
         side,
         slabs,
         kinds: &s.kinds,
-        term: &s.term,
+        term_off: &s.term_off,
         assign: &s.assign,
         layer: &s.layer,
         track_width: &s.track_width,

@@ -7,10 +7,14 @@
 //! absolute track coordinates `t1`/`t2`). Expanding the shape at those
 //! coordinates ([`TileShape::extend_corners`]) yields the wire's corner
 //! sequence, for the streaming walk and for `materialize` alike.
+//!
+//! A terminal's node and edge come from `placement::terminal`, the
+//! function the placement pass counted with; the scratch holds only
+//! its offset along that edge.
 
 use super::{SlabMap, WireKind};
 use crate::passes::layers::LayerAssign;
-use crate::passes::placement::{Edge, TermSlot};
+use crate::passes::placement::{terminal, Edge};
 use crate::passes::tracks::TrackAssign;
 use crate::spec::OrthogonalSpec;
 use crate::tiled::TileShape;
@@ -45,7 +49,7 @@ pub(crate) struct Resolver<'a> {
     pub side: i64,
     pub slabs: SlabMap,
     pub kinds: &'a [WireKind],
-    pub term: &'a [TermSlot],
+    pub term_off: &'a [u32],
     pub assign: &'a [TrackAssign],
     pub layer: &'a [LayerAssign],
     pub track_width: &'a [i64],
@@ -68,13 +72,14 @@ impl Resolver<'_> {
         self.slot_y0[sl] + self.side
     }
 
-    /// Absolute planar coordinates of a terminal slot.
-    fn abs(&self, ki: usize, hi_end: usize) -> (i64, i64) {
-        let t = &self.term[2 * ki + hi_end];
+    /// Absolute planar coordinates of wire `ki`'s terminal `end`.
+    fn abs(&self, ki: usize, end: usize) -> (i64, i64) {
+        let t = terminal(self.spec, self.kinds[ki], end);
+        let off = self.term_off[2 * ki + end] as i64;
         let (x0, y0) = (self.col_x0[t.col], self.slot_y0[self.slabs.slot_of(t.row)]);
         match t.edge {
-            Edge::Top => (x0 + t.off, y0 + self.side - 1),
-            Edge::Right => (x0 + self.side - 1, y0 + t.off),
+            Edge::Top => (x0 + off, y0 + self.side - 1),
+            Edge::Right => (x0 + self.side - 1, y0 + off),
         }
     }
 

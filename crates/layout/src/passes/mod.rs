@@ -6,8 +6,9 @@
 //!        │
 //!        ▼
 //!   placement  — wire classification (row/col/jog, slab-crossing),
-//!        │       node footprint sizing from terminal demand, and the
-//!        │       terminal slot discipline (arrive < jog < depart)
+//!        │       node footprint sizing from terminal demand, and
+//!        │       terminal offsets, counted per node edge (arrive <
+//!        │       jog < depart)
 //!        ▼
 //!   tracks     — shared track grouping: round-robin bundling of
 //!        │       construction tracks over ⌊L/2⌋ groups, closed-interval
@@ -32,9 +33,9 @@
 //!
 //! The IR is **struct-of-arrays**: every pass reads and writes flat
 //! index vectors inside one reusable `crate::arena::Scratch`
-//! (terminal slots indexed `2·ki + hi_end`, track/layer assignments
-//! parallel to `kinds`, packed sort records for the terminal and
-//! colouring disciplines). Per-stage products stay explicit — they are
+//! (terminal offsets indexed `2·ki + end`, per-edge terminal counters,
+//! track/layer assignments parallel to `kinds`, packed sort records for
+//! the colouring discipline). Per-stage products stay explicit — they are
 //! just columns of the scratch instead of per-pass structs — so
 //! alternative track-assignment passes can still be swapped in, while
 //! a reused scratch leaves the emitted tiles as the only steady-state
@@ -45,6 +46,8 @@ pub(crate) mod geometry;
 pub(crate) mod layers;
 pub(crate) mod placement;
 pub(crate) mod tracks;
+
+pub use placement::min_node_side;
 
 use crate::arena::Scratch;
 use crate::realize::JogStrategy;
@@ -106,50 +109,14 @@ pub(crate) struct PassContext {
 }
 
 impl PassContext {
-    /// Derive the context for one realization. Panics if the stack
-    /// starves a slab of either direction (no legal group exists).
+    /// Derive the context for one realization.
+    ///
+    /// # Panics
+    /// If [`check_stack`] rejects the stack.
     pub fn new(cfg: &PassConfig) -> PassContext {
-        let slab_layers = cfg.slab_layers();
         let pdk = cfg.pdk.as_ref().filter(|p| !p.is_uniform());
-        let mut h = Vec::with_capacity(cfg.active_layers);
-        let mut v = Vec::with_capacity(cfg.active_layers);
-        for slab in 0..cfg.active_layers {
-            let zb = (slab * slab_layers) as i32;
-            let (mut hs, mut vs) = (Vec::new(), Vec::new());
-            for dz in 0..slab_layers {
-                let z = zb + dz as i32;
-                let dir = pdk.map_or(Dir::Any, |p| p.layer_at(z as usize).dir);
-                match dir {
-                    Dir::H => hs.push(z),
-                    Dir::V => vs.push(z),
-                    // Balance free layers, ties to h: reproduces the
-                    // legacy even/odd split when every layer is free.
-                    Dir::Any => {
-                        if hs.len() <= vs.len() {
-                            hs.push(z);
-                        } else {
-                            vs.push(z);
-                        }
-                    }
-                }
-            }
-            h.push(hs);
-            v.push(vs);
-        }
-        let groups = h
-            .iter()
-            .zip(&v)
-            .map(|(hs, vs)| hs.len().min(vs.len()))
-            .min()
-            .unwrap_or(0);
-        assert!(
-            groups >= 1,
-            "stack {:?} leaves a slab without an H/V layer pair \
-             (L={}, L_A={})",
-            cfg.pdk.as_ref().map(|p| p.name.as_str()),
-            cfg.layers,
-            cfg.active_layers,
-        );
+        let (h, v, groups) =
+            slab_directions(pdk, cfg.layers, cfg.active_layers).unwrap_or_else(|e| panic!("{e}"));
         let (xscale, yscale, tag) = match pdk {
             Some(p) => (
                 p.xscale(cfg.layers),
@@ -167,6 +134,68 @@ impl PassContext {
             tag,
         }
     }
+}
+
+/// Layers per slab, `sets[slab]`, ascending z.
+type LayerSets = Vec<Vec<i32>>;
+
+/// Per-slab layers carrying x-runs and y-runs, and the track groups
+/// they make room for; `Err` if some slab has no H/V layer pair.
+fn slab_directions(
+    pdk: Option<&Pdk>,
+    layers: usize,
+    active_layers: usize,
+) -> Result<(LayerSets, LayerSets, usize), String> {
+    let slab_layers = layers / active_layers.max(1);
+    let mut h = Vec::with_capacity(active_layers);
+    let mut v = Vec::with_capacity(active_layers);
+    for slab in 0..active_layers {
+        let zb = (slab * slab_layers) as i32;
+        let (mut hs, mut vs) = (Vec::new(), Vec::new());
+        for dz in 0..slab_layers {
+            let z = zb + dz as i32;
+            let dir = pdk.map_or(Dir::Any, |p| p.layer_at(z as usize).dir);
+            match dir {
+                Dir::H => hs.push(z),
+                Dir::V => vs.push(z),
+                // Balance free layers, ties to h: reproduces the
+                // legacy even/odd split when every layer is free.
+                Dir::Any => {
+                    if hs.len() <= vs.len() {
+                        hs.push(z);
+                    } else {
+                        vs.push(z);
+                    }
+                }
+            }
+        }
+        h.push(hs);
+        v.push(vs);
+    }
+    let groups = h
+        .iter()
+        .zip(&v)
+        .map(|(hs, vs)| hs.len().min(vs.len()))
+        .min()
+        .unwrap_or(0);
+    if groups == 0 {
+        return Err(format!(
+            "stack {} leaves a slab without an H/V layer pair (L={layers}, L_A={active_layers})",
+            pdk.map_or("uniform", |p| p.name.as_str()),
+        ));
+    }
+    Ok((h, v, groups))
+}
+
+/// Check that a technology stack can carry a realization at `layers`
+/// wiring layers and `active_layers` slabs (1 for the 2-D model): every
+/// slab's window of the stack must hold at least one layer that can
+/// carry x-runs and another that can carry y-runs. `None` is the
+/// uniform grid. The realizers panic on a stack this rejects, so
+/// callers that take a stack from a user check it first.
+pub fn check_stack(pdk: Option<&Pdk>, layers: usize, active_layers: usize) -> Result<(), String> {
+    let pdk = pdk.filter(|p| !p.is_uniform());
+    slab_directions(pdk, layers, active_layers).map(|_| ())
 }
 
 /// Open one [`PASS_SPANS`] span, tagged with the stack name for
@@ -226,6 +255,15 @@ pub(crate) struct SlabMap {
 }
 
 impl SlabMap {
+    /// `rows` grid rows cut into `active_layers` blocks, each a slab of
+    /// `slab_layers` wiring layers.
+    pub fn new(rows: usize, active_layers: usize, slab_layers: usize) -> SlabMap {
+        SlabMap {
+            slots: rows.div_ceil(active_layers),
+            slab_layers,
+        }
+    }
+
     /// Slab (row block) of grid row `r`.
     pub fn slab_of(&self, r: usize) -> usize {
         r / self.slots

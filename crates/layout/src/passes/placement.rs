@@ -1,6 +1,6 @@
 //! Pass 1 — placement: classify wires against the slab map, size the
 //! node footprint from terminal demand, and fix every terminal's
-//! node-local slot.
+//! offset along its node edge.
 //!
 //! Row-wire ends drop onto the node's **top edge** (excluding the
 //! corner), column-wire ends onto its **right edge** (excluding the
@@ -17,64 +17,113 @@
 //! per-(slot, col) counter that starts above every stack member's
 //! intra-wire demand.
 //!
-//! The terminal discipline is implemented as **one flat sorted array**
-//! instead of per-cell vectors: every terminal becomes a packed
-//! [`crate::arena::TermItem`] keyed `(cell, edge, class, ki, hi_end)`,
-//! one global sort groups each node edge into a contiguous
-//! run, and a terminal's offset is its position within its run — the
-//! exact offsets the per-cell stable sorts produced, at a fraction of
-//! the allocation and branching.
+//! Terminals are placed by **counting**, not sorting. [`terminal`] is
+//! the one statement of which node edge, and which class, each wire end
+//! takes. One walk over the wires counts the terminals of every
+//! (node cell, edge, class); the sums per edge are the top- and
+//! right-edge demand, and prefix sums over the classes turn the counts
+//! into cursors. A second walk, in wire order, hands each terminal its
+//! edge class's next offset. Along an edge, offsets therefore run by
+//! class, then by wire — the order of a sort by (class, wire, end), as
+//! no wire puts both ends in one class of one edge. The scratch keeps
+//! only the offsets: the emit pass asks [`terminal`] again for the node
+//! and edge.
 
 use super::{PassConfig, SlabMap, WireKind};
-use crate::arena::{Scratch, TermItem};
+use crate::arena::{with_scratch, Scratch};
 use crate::spec::OrthogonalSpec;
 
 /// Which node edge a terminal sits on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Edge {
     /// Top edge: offset is in x from the node's left side.
-    #[default]
-    Top,
+    Top = 0,
     /// Right edge: offset is in y from the node's bottom side.
-    Right,
+    Right = 1,
 }
 
-/// A terminal's node-local slot; the emit pass turns it into absolute
-/// coordinates once gap widths are known.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct TermSlot {
+/// Where one wire end lands.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Terminal {
     /// Grid row of the owning node.
     pub row: usize,
     /// Grid column of the owning node.
     pub col: usize,
     /// Node edge the terminal occupies.
     pub edge: Edge,
-    /// Offset along the edge (x for top, y for right).
-    pub off: i64,
+    /// Class on the edge: 0 arrives (from the left or below), 1 jogs,
+    /// 2 departs. `None` for a slab-crossing wire's a-end, which its
+    /// (slot, col) stack allocates.
+    pub class: Option<u8>,
 }
 
-// TermItem packing: (cell·8 | edge·4 | class, ki·2 | hi_end)
-const EDGE_TOP: u64 = 0;
-const EDGE_RIGHT: u64 = 1;
-
-fn pack(cell: usize, edge: u64, class: u64, ki: usize, hi_end: bool) -> TermItem {
-    (
-        ((cell as u64) << 3) | (edge << 2) | class,
-        ((ki as u64) << 1) | hi_end as u64,
-    )
+/// End `end` (0 = a, 1 = b) of wire kind `k`: its node, edge and class.
+pub(crate) fn terminal(spec: &OrthogonalSpec, k: WireKind, end: usize) -> Terminal {
+    let at = |(row, col): (usize, usize), edge, class| Terminal {
+        row,
+        col,
+        edge,
+        class,
+    };
+    match k {
+        // the lo end departs rightward or upward, the hi end arrives
+        WireKind::Row { idx } => {
+            let w = &spec.row_wires[idx];
+            match end {
+                0 => at((w.row, w.lo), Edge::Top, Some(2)),
+                _ => at((w.row, w.hi), Edge::Top, Some(0)),
+            }
+        }
+        WireKind::Col { idx } => {
+            let w = &spec.col_wires[idx];
+            match end {
+                0 => at((w.lo, w.col), Edge::Right, Some(2)),
+                _ => at((w.hi, w.col), Edge::Right, Some(0)),
+            }
+        }
+        WireKind::Jog { idx } => {
+            let w = &spec.jog_wires[idx];
+            match end {
+                0 => at(w.a, Edge::Right, Some(1)),
+                _ => at(w.b, Edge::Top, Some(1)),
+            }
+        }
+        WireKind::InterCol { .. } | WireKind::InterJog { .. } => {
+            let (ra, ca, rb, cb) = k
+                .inter_ends(spec)
+                .expect("slab-crossing kinds have two ends");
+            match end {
+                0 => at((ra, ca), Edge::Right, None),
+                _ => at((rb, cb), Edge::Top, Some(1)),
+            }
+        }
+    }
 }
 
-/// Run the placement pass, filling the scratch's placement columns
-/// (`slabs`, `kinds`, `side`, `term`).
+/// Index of a terminal's (cell, edge, class) counter.
+fn edge_slot(t: &Terminal, cols: usize, class: u8) -> usize {
+    (t.row * cols + t.col) * 6 + t.edge as usize * 3 + class as usize
+}
+
+/// The smallest node side that holds every terminal of `spec` realized
+/// with `active_layers` slabs (1 for the 2-D model): one more than the
+/// most terminals a node edge holds, where a right edge also holds a
+/// place for each slab-crossing terminal of its (slot, col) stack. A
+/// `node_side` override below it cannot be realized.
 ///
 /// # Panics
-/// If `cfg.node_side` is below the computed terminal demand.
-pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, s: &mut Scratch) {
+/// If `active_layers` is 0 or the spec is invalid.
+pub fn min_node_side(spec: &OrthogonalSpec, active_layers: usize) -> usize {
+    // the slabs' layer bases play no part in the demand
+    let slabs = SlabMap::new(spec.rows, active_layers, 0);
+    with_scratch(|s| count(spec, slabs, s))
+}
+
+/// Classify the wires and count their terminals into the scratch
+/// (`slabs`, `kinds`, `edge_slots`, `inter_per_stack`, `stack_next`);
+/// returns the minimum node side.
+fn count(spec: &OrthogonalSpec, slabs: SlabMap, s: &mut Scratch) -> usize {
     let (rows, cols) = (spec.rows, spec.cols);
-    let slabs = SlabMap {
-        slots: rows.div_ceil(cfg.active_layers),
-        slab_layers: cfg.slab_layers(),
-    };
     s.slabs = slabs;
 
     // --- classify wires ------------------------------------------------
@@ -98,138 +147,206 @@ pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, s: &mut Scratch) {
         }
     }
 
-    // --- flat terminal items --------------------------------------------
-    // class 0: arrives (from left / from below), 1: jogs, 2: departs
-    s.items.clear();
-    s.items.reserve(2 * s.kinds.len());
-    for (ki, k) in s.kinds.iter().enumerate() {
-        match *k {
-            WireKind::Row { idx } => {
-                let w = &spec.row_wires[idx];
-                // at the hi end the wire arrives from the left (class 0);
-                // at the lo end it departs rightward (class 2)
-                s.items
-                    .push(pack(w.row * cols + w.hi, EDGE_TOP, 0, ki, true));
-                s.items
-                    .push(pack(w.row * cols + w.lo, EDGE_TOP, 2, ki, false));
-            }
-            WireKind::Col { idx } => {
-                let w = &spec.col_wires[idx];
-                s.items
-                    .push(pack(w.hi * cols + w.col, EDGE_RIGHT, 0, ki, true));
-                s.items
-                    .push(pack(w.lo * cols + w.col, EDGE_RIGHT, 2, ki, false));
-            }
-            WireKind::Jog { idx } => {
-                let w = &spec.jog_wires[idx];
-                s.items
-                    .push(pack(w.a.0 * cols + w.a.1, EDGE_RIGHT, 1, ki, false));
-                s.items
-                    .push(pack(w.b.0 * cols + w.b.1, EDGE_TOP, 1, ki, true));
-            }
-            _ => {
-                let (_, _, rb, cb) = k.inter_ends(spec).unwrap();
-                // the a-side terminal is stack-allocated below
-                s.items.push(pack(rb * cols + cb, EDGE_TOP, 1, ki, true));
-            }
-        }
-    }
-    s.items.sort_unstable();
-
-    // --- terminal demand --------------------------------------------------
-    // top demand is the longest top-edge run; intra right-edge demand is
-    // per-cell run length, maxed over each (slot, col) stack
+    // --- count terminals -------------------------------------------------
     let stacks = slabs.slots * cols;
-    s.stack_intra_max.clear();
-    s.stack_intra_max.resize(stacks, 0);
+    s.edge_slots.clear();
+    s.edge_slots.resize(rows * cols * 6, 0);
     s.inter_per_stack.clear();
     s.inter_per_stack.resize(stacks, 0);
-    let mut top_max = 0usize;
-    let mut i = 0;
-    while i < s.items.len() {
-        let gkey = s.items[i].0 >> 2; // (cell, edge)
-        let mut j = i + 1;
-        while j < s.items.len() && s.items[j].0 >> 2 == gkey {
-            j += 1;
+    for &k in &s.kinds {
+        for end in 0..2 {
+            let t = terminal(spec, k, end);
+            match t.class {
+                Some(class) => s.edge_slots[edge_slot(&t, cols, class)] += 1,
+                None => s.inter_per_stack[slabs.slot_of(t.row) * cols + t.col] += 1,
+            }
         }
-        let run = j - i;
-        if gkey & 1 == EDGE_TOP {
-            top_max = top_max.max(run);
-        } else {
-            let cell = (gkey >> 1) as usize;
-            let idx = slabs.slot_of(cell / cols) * cols + cell % cols;
-            s.stack_intra_max[idx] = s.stack_intra_max[idx].max(run as u32);
-        }
-        i = j;
     }
-    for k in &s.kinds {
-        if let Some((ra, ca, _, _)) = k.inter_ends(spec) {
-            s.inter_per_stack[slabs.slot_of(ra) * cols + ca] += 1;
-        }
+
+    // --- terminal demand --------------------------------------------------
+    // top demand is the longest top edge; intra right-edge demand is
+    // maxed over each (slot, col) stack
+    s.stack_next.clear();
+    s.stack_next.resize(stacks, 0);
+    let mut top_max = 0u32;
+    for (cell, c) in s.edge_slots.chunks_exact(6).enumerate() {
+        top_max = top_max.max(c[0] + c[1] + c[2]);
+        let stack = slabs.slot_of(cell / cols) * cols + cell % cols;
+        s.stack_next[stack] = s.stack_next[stack].max(c[3] + c[4] + c[5]);
     }
     let right_demand = s
-        .stack_intra_max
+        .stack_next
         .iter()
         .zip(&s.inter_per_stack)
-        .map(|(&intra, &inter)| (intra + inter) as usize)
+        .map(|(&intra, &inter)| intra + inter)
         .max()
         .unwrap_or(0);
-    let min_side = 1 + top_max.max(right_demand) as i64;
+    1 + top_max.max(right_demand) as usize
+}
+
+/// Run the placement pass, filling the scratch's placement columns
+/// (`slabs`, `kinds`, `side`, `term_off`).
+///
+/// # Panics
+/// If `cfg.node_side` is below [`min_node_side`].
+pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, s: &mut Scratch) {
+    let slabs = SlabMap::new(spec.rows, cfg.active_layers, cfg.slab_layers());
+    let min_side = count(spec, slabs, s);
     s.side = match cfg.node_side {
         Some(side) => {
             assert!(
-                side as i64 >= min_side,
+                side >= min_side,
                 "node_side {side} below terminal demand {min_side}"
             );
             side as i64
         }
-        None => min_side,
+        None => min_side as i64,
     };
 
-    // --- terminal slots ---------------------------------------------------
-    s.term.clear();
-    s.term.resize(2 * s.kinds.len(), TermSlot::default());
-    // slab-crossing a-side terminals: stack-allocated past the stack's
-    // intra demand, in kinds order
-    s.stack_counter.clear();
-    s.stack_counter.resize(stacks, 0);
-    for (ki, k) in s.kinds.iter().enumerate() {
-        if let Some((ra, ca, _, _)) = k.inter_ends(spec) {
-            let idx = slabs.slot_of(ra) * cols + ca;
-            let off = (s.stack_intra_max[idx] + s.stack_counter[idx]) as i64;
-            s.stack_counter[idx] += 1;
-            s.term[2 * ki] = TermSlot {
-                row: ra,
-                col: ca,
-                edge: Edge::Right,
-                off,
+    // --- terminal offsets -------------------------------------------------
+    // counts become cursors: each class of an edge starts past the
+    // classes below it; a stack's cursor already starts past its intra
+    // demand
+    for c in s.edge_slots.chunks_exact_mut(3) {
+        let (arrive, jog) = (c[0], c[1]);
+        c[0] = 0;
+        c[1] = arrive;
+        c[2] = arrive + jog;
+    }
+    let cols = spec.cols;
+    s.term_off.clear();
+    s.term_off.reserve(2 * s.kinds.len());
+    for &k in &s.kinds {
+        for end in 0..2 {
+            let t = terminal(spec, k, end);
+            let cursor = match t.class {
+                Some(class) => &mut s.edge_slots[edge_slot(&t, cols, class)],
+                None => &mut s.stack_next[slabs.slot_of(t.row) * cols + t.col],
             };
+            s.term_off.push(*cursor);
+            *cursor += 1;
         }
     }
-    // everything else: offset = position within the sorted (cell, edge)
-    // run, which equals the per-cell (class, ki, hi_end) sort position
-    let mut i = 0;
-    while i < s.items.len() {
-        let gkey = s.items[i].0 >> 2;
-        let cell = (gkey >> 1) as usize;
-        let (row, col) = (cell / cols, cell % cols);
-        let edge = if gkey & 1 == EDGE_TOP {
-            Edge::Top
-        } else {
-            Edge::Right
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::passes::run_pipeline;
+    use crate::realize::JogStrategy;
+    use crate::registry::{self, LAYER_POOL};
+    use mlv_core::rng::Rng;
+    use mlv_grid::pdk::Pdk;
+    use std::collections::BTreeMap;
+
+    /// Offsets (indexed `2·wire + end`) and node side by the discipline
+    /// as the module docs state it, computed naively: the terminals of
+    /// each node edge sorted by (class, wire, end), and slab-crossing
+    /// a-ends handed out per (slot, col) stack past its intra demand.
+    fn reference(spec: &OrthogonalSpec, active_layers: usize) -> (Vec<u32>, usize) {
+        let slots = spec.rows.div_ceil(active_layers);
+        let crosses = |r1: usize, r2: usize| r1 / slots != r2 / slots;
+        // (cell, edge) → (class, wire, end); edge 0 top, 1 right
+        let mut edges: BTreeMap<_, Vec<_>> = BTreeMap::new();
+        let mut stacked: Vec<(usize, usize)> = Vec::new(); // (wire, stack)
+        let mut put = |(r, c): (usize, usize), edge: u8, class: u8, wire: usize, end: usize| {
+            edges
+                .entry((r * spec.cols + c, edge))
+                .or_default()
+                .push((class, wire, end))
         };
-        let mut j = i;
-        while j < s.items.len() && s.items[j].0 >> 2 == gkey {
-            let tail = s.items[j].1;
-            let (ki, hi_end) = ((tail >> 1) as usize, (tail & 1) as usize);
-            s.term[2 * ki + hi_end] = TermSlot {
-                row,
-                col,
-                edge,
-                off: (j - i) as i64,
-            };
-            j += 1;
+        let mut wire = 0;
+        for w in &spec.row_wires {
+            put((w.row, w.lo), 0, 2, wire, 0);
+            put((w.row, w.hi), 0, 0, wire, 1);
+            wire += 1;
         }
-        i = j;
+        for w in &spec.col_wires {
+            if crosses(w.lo, w.hi) {
+                stacked.push((wire, (w.lo % slots) * spec.cols + w.col));
+                put((w.hi, w.col), 0, 1, wire, 1);
+            } else {
+                put((w.lo, w.col), 1, 2, wire, 0);
+                put((w.hi, w.col), 1, 0, wire, 1);
+            }
+            wire += 1;
+        }
+        for w in &spec.jog_wires {
+            if crosses(w.a.0, w.b.0) {
+                stacked.push((wire, (w.a.0 % slots) * spec.cols + w.a.1));
+            } else {
+                put(w.a, 1, 1, wire, 0);
+            }
+            put(w.b, 0, 1, wire, 1);
+            wire += 1;
+        }
+        let mut off = vec![u32::MAX; 2 * wire];
+        let mut next = vec![0u32; slots * spec.cols];
+        let mut demand = 0;
+        for (&(cell, edge), terms) in &mut edges {
+            terms.sort();
+            for (i, &(_, w, end)) in terms.iter().enumerate() {
+                off[2 * w + end] = i as u32;
+            }
+            if edge == 1 {
+                let stack = (cell / spec.cols % slots) * spec.cols + cell % spec.cols;
+                next[stack] = next[stack].max(terms.len() as u32);
+            } else {
+                demand = demand.max(terms.len());
+            }
+        }
+        for (w, stack) in stacked {
+            off[2 * w] = next[stack];
+            next[stack] += 1;
+        }
+        (
+            off,
+            1 + demand.max(next.into_iter().max().unwrap_or(0) as usize),
+        )
+    }
+
+    /// Realize and compare with the reference; returns the number of
+    /// slab-crossing wires.
+    fn assert_placed(spec: &OrthogonalSpec, cfg: &PassConfig) -> usize {
+        let mut s = Scratch::default();
+        run_pipeline(spec, cfg, &mut s);
+        let (off, side) = reference(spec, cfg.active_layers);
+        assert_eq!(s.term_off, off, "{}", cfg.layout_name);
+        assert_eq!(s.side, side as i64, "{}", cfg.layout_name);
+        assert_eq!(min_node_side(spec, cfg.active_layers), side);
+        s.kinds
+            .iter()
+            .filter(|k| k.inter_ends(spec).is_some())
+            .count()
+    }
+
+    #[test]
+    fn offsets_match_a_sort_of_each_node_edge() {
+        let (mut checked, mut crossing) = (0, 0);
+        for seed in [2000, 2001, 2002] {
+            for entry in registry::REGISTRY {
+                let Some(lattice) = &entry.lattice else {
+                    continue;
+                };
+                let draw = (lattice.draw)(&mut Rng::seed_from_u64(seed));
+                let spec = &draw.family.spec;
+                let cfg = |layers, active_layers, pdk| PassConfig {
+                    layers,
+                    active_layers,
+                    node_side: None,
+                    jog_strategy: JogStrategy::RoundRobin,
+                    layout_name: format!("{} L={layers} L_A={active_layers}", draw.label),
+                    pdk,
+                };
+                for &layers in &LAYER_POOL {
+                    assert_eq!(assert_placed(spec, &cfg(layers, 1, None)), 0);
+                    assert_placed(spec, &cfg(layers, 1, Some(Pdk::hv6())));
+                }
+                crossing += assert_placed(spec, &cfg(8, 2, None));
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 3 * registry::lattice_names().len());
+        assert!(crossing > 0, "no draw has a slab-crossing wire");
     }
 }

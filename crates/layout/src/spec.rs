@@ -182,17 +182,17 @@ impl OrthogonalSpec {
                 return Err(SpecError::BadWire(format!("{w:?}")));
             }
         }
-        // per-(row, track) disjointness
-        let mut by: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
-        for w in &self.row_wires {
-            by.entry((w.row, w.track)).or_default().push((w.lo, w.hi));
-        }
-        check_track_map(&by, "row")?;
-        let mut by: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
-        for w in &self.col_wires {
-            by.entry((w.col, w.track)).or_default().push((w.lo, w.hi));
-        }
-        check_track_map(&by, "col")?;
+        // per-(line, track) disjointness: one sort per direction puts
+        // each (line, track)'s spans side by side, in (lo, hi) order
+        let mut spans: Vec<(usize, usize, usize, usize)> = self
+            .row_wires
+            .iter()
+            .map(|w| (w.row, w.track, w.lo, w.hi))
+            .collect();
+        first_overlap(&mut spans, "row")?;
+        spans.clear();
+        spans.extend(self.col_wires.iter().map(|w| (w.col, w.track, w.lo, w.hi)));
+        first_overlap(&mut spans, "col")?;
         Ok(())
     }
 
@@ -204,20 +204,20 @@ impl OrthogonalSpec {
     }
 }
 
-fn check_track_map(
-    by: &BTreeMap<(usize, usize), Vec<(usize, usize)>>,
-    kind: &str,
-) -> Result<(), SpecError> {
-    for ((line, track), spans) in by {
-        let mut s = spans.clone();
-        s.sort_unstable();
-        for pair in s.windows(2) {
-            if pair[1].0 < pair[0].1 {
-                return Err(SpecError::TrackOverlap(format!(
-                    "{kind} {line} track {track}: {:?} vs {:?}",
-                    pair[0], pair[1]
-                )));
-            }
+/// The first overlap among `(line, track, lo, hi)` spans, in
+/// `(line, track)` order and then `(lo, hi)` order within it: two spans
+/// of one track overlap when the later one starts before the earlier
+/// one ends (touching endpoints are legal).
+fn first_overlap(spans: &mut [(usize, usize, usize, usize)], kind: &str) -> Result<(), SpecError> {
+    spans.sort_unstable();
+    for pair in spans.windows(2) {
+        let ((line, track, lo, hi), (line2, track2, lo2, hi2)) = (pair[0], pair[1]);
+        if (line, track) == (line2, track2) && lo2 < hi {
+            return Err(SpecError::TrackOverlap(format!(
+                "{kind} {line} track {track}: {:?} vs {:?}",
+                (lo, hi),
+                (lo2, hi2)
+            )));
         }
     }
     Ok(())
@@ -285,6 +285,77 @@ mod tests {
             hi: 2,
             track: 0,
         });
+        s.assert_valid();
+    }
+
+    fn row(row: usize, lo: usize, hi: usize, track: usize) -> RowWire {
+        RowWire { row, lo, hi, track }
+    }
+
+    fn col(col: usize, lo: usize, hi: usize, track: usize) -> ColWire {
+        ColWire { col, lo, hi, track }
+    }
+
+    #[test]
+    fn first_overlap_in_line_and_track_order_is_reported() {
+        let mut s = OrthogonalSpec::new("t", 4, 6);
+        // overlaps on (row 2, track 0) and (row 1, track 1), inserted
+        // out of order; (row 1, track 1) holds two, (0, 4) first
+        s.row_wires = vec![
+            row(2, 0, 3, 0),
+            row(2, 1, 2, 0),
+            row(1, 3, 5, 1),
+            row(1, 0, 4, 1),
+            row(1, 1, 2, 1),
+            row(1, 0, 5, 0),
+        ];
+        s.col_wires = vec![col(0, 0, 3, 0), col(0, 1, 2, 0)];
+        assert_eq!(
+            s.validate(),
+            Err(SpecError::TrackOverlap(
+                "row 1 track 1: (0, 4) vs (1, 2)".into()
+            ))
+        );
+        // rows are checked before columns
+        s.row_wires.retain(|w| w.row == 0);
+        s.col_wires.push(col(3, 2, 3, 1));
+        s.col_wires.push(col(3, 0, 3, 1));
+        assert_eq!(
+            s.validate(),
+            Err(SpecError::TrackOverlap(
+                "col 0 track 0: (0, 3) vs (1, 2)".into()
+            ))
+        );
+        s.col_wires.drain(..2);
+        assert_eq!(
+            s.validate(),
+            Err(SpecError::TrackOverlap(
+                "col 3 track 1: (0, 3) vs (2, 3)".into()
+            ))
+        );
+        // an identical span is an overlap too
+        s.col_wires = vec![col(1, 0, 2, 0), col(1, 0, 2, 0)];
+        assert_eq!(
+            s.validate(),
+            Err(SpecError::TrackOverlap(
+                "col 1 track 0: (0, 2) vs (0, 2)".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn touching_spans_are_legal_in_both_directions() {
+        let mut s = OrthogonalSpec::new("t", 4, 4);
+        s.row_wires = vec![row(1, 2, 3, 0), row(1, 0, 1, 0), row(1, 1, 2, 0)];
+        s.col_wires = vec![col(2, 1, 3, 1), col(2, 0, 1, 1)];
+        s.assert_valid();
+    }
+
+    #[test]
+    fn equal_spans_on_another_track_or_line_are_legal() {
+        let mut s = OrthogonalSpec::new("t", 3, 3);
+        s.row_wires = vec![row(0, 0, 2, 0), row(0, 0, 2, 1), row(1, 0, 2, 0)];
+        s.col_wires = vec![col(0, 0, 2, 0), col(0, 0, 2, 1), col(2, 0, 2, 0)];
         s.assert_valid();
     }
 

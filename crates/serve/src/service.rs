@@ -8,14 +8,14 @@
 //! One JSON object per line in, one JSON object per line out. Requests
 //! carry an `id` (echoed back), a `kind`, and kind-specific fields:
 //!
-//! | kind          | fields                                         |
-//! |---------------|------------------------------------------------|
-//! | `realize`     | `family`, `layers`?, `pdk`?/`pdk_text`?        |
-//! | `check`       | same as `realize`                              |
-//! | `metrics`     | same as `realize`                              |
-//! | `sweep-shard` | `seed`, `cases`?, `shard`?, `shards`?, `pdk`?  |
-//! | `profile`     | same as `realize`                              |
-//! | `stats`       | —                                              |
+//! | kind          | fields                                                    |
+//! |---------------|-----------------------------------------------------------|
+//! | `realize`     | `family`, `layers`?, `pdk`?/`pdk_text`?                   |
+//! | `check`       | same as `realize`                                         |
+//! | `metrics`     | same as `realize`                                         |
+//! | `sweep-shard` | `seed`, `cases`?, `shard`?, `shards`?, `pdk`?/`pdk_text`? |
+//! | `profile`     | same as `realize`                                         |
+//! | `stats`       | —                                                         |
 //!
 //! Success frames are `{"id":…,"ok":true,"kind":…,…}`; failures are
 //! `{"id":…,"ok":false,"error":…}` (plus `retry_after_ms` on the
@@ -275,6 +275,9 @@ impl Service {
             .filter(|(i, _)| i % shards == shard)
             .map(|(_, j)| j)
             .collect();
+        for j in &jobs {
+            j.validate().map_err(|e| format!("{}: {e}", j.label))?;
+        }
         let report = self.lock_engine().run(&jobs);
         let lines: Vec<String> = report.results.iter().map(|r| r.json_line()).collect();
         Ok(format!(
@@ -342,6 +345,7 @@ impl Service {
         let pdk = self.resolve_pdk(req)?;
         let mut job = Job::new(spec, family, layers);
         job.pdk = pdk;
+        job.validate()?;
         Ok(job)
     }
 

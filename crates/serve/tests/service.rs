@@ -184,6 +184,37 @@ fn a_panicking_request_keeps_its_id() {
 }
 
 #[test]
+fn a_stack_without_an_hv_pair_gets_a_typed_error() {
+    // two H layers: no slab can route y-runs
+    let allh =
+        r#""pdk_text":"mlvpdk 1\npdk allh\nlayer m1 H pitch=1 via=1\nlayer m2 H pitch=1 via=1\n""#;
+    let s = service();
+    for (id, kind) in [(1, "realize"), (2, "check"), (3, "metrics"), (4, "profile")] {
+        let r = s.handle_line(&format!(
+            r#"{{"id":{id},"kind":"{kind}","family":"hypercube:4","layers":4,{allh}}}"#
+        ));
+        assert_eq!(
+            r,
+            format!(
+                r#"{{"id":{id},"ok":false,"error":"stack allh leaves a slab without an H/V layer pair (L=4, L_A=1)"}}"#
+            )
+        );
+    }
+    let r = s.handle_line(&format!(
+        r#"{{"id":5,"kind":"sweep-shard","seed":2000,"cases":1,{allh}}}"#
+    ));
+    assert!(r.starts_with(r#"{"id":5,"ok":false,"error":""#), "{r}");
+    assert!(r.contains("without an H/V layer pair"), "{r}");
+    // nothing was realized, and the service still answers
+    assert_eq!(s.cache_len(), 0);
+    assert_ok(
+        &s.handle_line(r#"{"id":6,"kind":"realize","family":"hypercube:4","layers":4}"#),
+        6,
+    );
+    assert_eq!(s.in_flight(), 0);
+}
+
+#[test]
 fn responses_byte_identical_across_thread_counts() {
     let requests = [
         r#"{"id":1,"kind":"realize","family":"hypercube:4","layers":4}"#,
