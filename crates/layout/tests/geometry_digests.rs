@@ -1,32 +1,36 @@
 //! Pinned geometry: the `layout_digest` of every registry example at
 //! four layer budgets, in the 3-D model, and under the `hv6` stack —
-//! 126 layouts in all.
+//! 126 layouts in all — and the `TiledLayout::digest` of the same 126
+//! tiled IRs.
 //!
 //! The conformance `lattice_digests` fixture pins lattice *labels*
 //! only. This one pins absolute geometry, every node rectangle and
 //! wire corner, so a change to any pass, to the tiled IR, or to the
-//! serializer that moves a single coordinate fails here.
+//! serializer that moves a single coordinate fails here. The IR digest
+//! hashes the tiles and their instances rather than the serialized
+//! text, so it also pins the digest function itself.
 //!
 //! If a change is meant to move geometry, the failure message prints
-//! the whole regenerated table: replace `fixtures/geometry_digests.txt`
-//! with it and say why in the commit message.
+//! the whole regenerated table: replace the fixture with it and say why
+//! in the commit message.
 
 use mlv_grid::pdk::Pdk;
 use mlv_layout::engine::layout_digest;
-use mlv_layout::realize3d::{realize_3d, Realize3dOptions};
-use mlv_layout::{registry, RealizeOptions};
+use mlv_layout::realize3d::Realize3dOptions;
+use mlv_layout::{realize_tiled, realize_tiled_3d, registry, RealizeOptions, TiledLayout};
 
-const FIXTURE: &str = include_str!("fixtures/geometry_digests.txt");
+const GEOMETRY: &str = include_str!("fixtures/geometry_digests.txt");
+const TILED: &str = include_str!("fixtures/tiled_digests.txt");
 
-/// One `<example> <budget> <digest>` line per pinned layout, in
-/// registry order.
-fn current() -> Vec<String> {
-    let mut lines = Vec::new();
+/// Every pinned layout as `(<example> <budget>, tiled IR)`, in registry
+/// order.
+fn cases() -> Vec<(String, TiledLayout)> {
+    let mut cases = Vec::new();
     for e in registry::REGISTRY {
         let fam = registry::parse(e.example).unwrap_or_else(|err| panic!("{}: {err}", e.example));
         for layers in [2, 3, 4, 8] {
-            let d = layout_digest(&fam.realize(layers));
-            lines.push(format!("{} L={layers} {d:016x}", e.example));
+            let ir = realize_tiled(&fam.spec, &RealizeOptions::with_layers(layers));
+            cases.push((format!("{} L={layers}", e.example), ir));
         }
         let opts = Realize3dOptions {
             layers: 8,
@@ -34,19 +38,18 @@ fn current() -> Vec<String> {
             node_side: None,
             pdk: None,
         };
-        let d = layout_digest(&realize_3d(&fam.spec, &opts));
-        lines.push(format!("{} L=8 LA=2 {d:016x}", e.example));
-        let d = layout_digest(&fam.realize_with(&RealizeOptions::with_pdk(6, Pdk::hv6())));
-        lines.push(format!("{} L=6 pdk=hv6 {d:016x}", e.example));
+        let ir = realize_tiled_3d(&fam.spec, &opts);
+        cases.push((format!("{} L=8 LA=2", e.example), ir));
+        let ir = realize_tiled(&fam.spec, &RealizeOptions::with_pdk(6, Pdk::hv6()));
+        cases.push((format!("{} L=6 pdk=hv6", e.example), ir));
     }
-    lines
+    cases
 }
 
-#[test]
-fn registry_examples_keep_their_geometry() {
-    let got = current();
+/// Compare one `<case> <digest>` line per layout with a fixture.
+fn assert_pinned(what: &str, got: Vec<String>, fixture: &str) {
     assert_eq!(got.len(), 6 * registry::REGISTRY.len());
-    let want: Vec<&str> = FIXTURE.lines().filter(|l| !l.is_empty()).collect();
+    let want: Vec<&str> = fixture.lines().filter(|l| !l.is_empty()).collect();
     let drift: Vec<String> = got
         .iter()
         .zip(want.iter().copied().chain(std::iter::repeat("<missing>")))
@@ -55,11 +58,29 @@ fn registry_examples_keep_their_geometry() {
         .collect();
     assert!(
         drift.is_empty() && got.len() == want.len(),
-        "geometry moved in {} of {} layouts ({} pinned):\n{}\n\nregenerated fixture:\n{}",
+        "{what} moved in {} of {} layouts ({} pinned):\n{}\n\nregenerated fixture:\n{}",
         drift.len(),
         got.len(),
         want.len(),
         drift.join("\n"),
         got.join("\n")
     );
+}
+
+#[test]
+fn registry_examples_keep_their_geometry() {
+    let got = cases()
+        .into_iter()
+        .map(|(case, ir)| format!("{case} {:016x}", layout_digest(&ir.materialize())))
+        .collect();
+    assert_pinned("geometry", got, GEOMETRY);
+}
+
+#[test]
+fn registry_examples_keep_their_tiled_ir() {
+    let got = cases()
+        .into_iter()
+        .map(|(case, ir)| format!("{case} {:016x}", ir.digest()))
+        .collect();
+    assert_pinned("tiled IR", got, TILED);
 }
