@@ -194,6 +194,20 @@ fn bad_active_layers_are_an_error() {
     }
 }
 
+/// Degenerate or oversized family parameters are a clean error
+/// (exit 1), never a panic.
+#[test]
+fn out_of_domain_families_are_an_error() {
+    for (spec, needle) in [
+        ("hypercube:0", "need 1 <= n <= 30"),
+        ("karyn:4,20", "u32 node id range"),
+        ("clusterc:0,0,0", "need k >= 1 and c >= 1"),
+        ("macrostar:0,0", "need l >= 1"),
+    ] {
+        assert_error(&["layout", spec, "--layers", "4"], needle);
+    }
+}
+
 /// Assert `mlv <args>` fails with exit 1, an `error: ` line naming
 /// `needle`, and no report.
 fn assert_error(args: &[&str], needle: &str) {

@@ -41,6 +41,7 @@ pub mod oracles;
 use mlv_core::exec;
 use mlv_core::rng::Rng;
 use mlv_grid::checker::{self, CheckError};
+use mlv_grid::io::json_escape;
 use mlv_layout::engine::{CheckStatus, Engine, EngineOptions, Job, JobOutcome};
 use std::collections::BTreeSet;
 
@@ -154,20 +155,6 @@ impl FamilyResult {
             violations.join(",")
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Whole-run outcome.
@@ -440,6 +427,9 @@ mod tests {
     #[test]
     fn json_escaping() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        // the shared escaper: named escapes for tab and CR, and DEL
+        // escaped like the C0 controls
+        assert_eq!(json_escape("a\tb\rc\x7fd\x01"), "a\\tb\\rc\\u007fd\\u0001");
     }
 
     /// Envelope recalibration sweep: prints observed Thompson-point

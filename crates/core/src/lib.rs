@@ -4,6 +4,8 @@
 //! reproduction previously pulled from crates.io lives here, implemented
 //! on `std` alone so the whole workspace builds and tests fully offline:
 //!
+//! * [`fnv`] — FNV-1a, the stable content digest behind memo keys,
+//!   layout and trace digests, and property-test seeds;
 //! * [`exec`] — a data-parallel map over [`std::thread::scope`]
 //!   ([`exec::par_map`]), the replacement for rayon. It fans out once,
 //!   over the jobs of an engine batch or the cases of a conformance
@@ -36,6 +38,7 @@
 
 pub mod bench;
 pub mod exec;
+pub mod fnv;
 pub mod prop;
 pub mod queue;
 pub mod rng;

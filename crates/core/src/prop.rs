@@ -29,6 +29,7 @@
 //! exploring. There is **no shrinking**: a falsified property reports
 //! the generated inputs and the per-case seed verbatim.
 
+use crate::fnv::{fnv1a, FNV_BASIS};
 use crate::rng::{Rng, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -122,15 +123,6 @@ impl<G: Gen> Gen for VecGen<G> {
     }
 }
 
-fn fnv1a(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn env_usize(var: &str) -> Option<usize> {
     std::env::var(var).ok()?.trim().parse().ok()
 }
@@ -151,7 +143,7 @@ where
     let cases = env_usize("MLV_PROPTEST_CASES")
         .unwrap_or(default_cases)
         .max(1);
-    let base = env_u64("MLV_PROPTEST_SEED").unwrap_or_else(|| fnv1a(name));
+    let base = env_u64("MLV_PROPTEST_SEED").unwrap_or_else(|| fnv1a(FNV_BASIS, name.as_bytes()));
     let max_attempts = (cases as u64).saturating_mul(20);
     let mut executed = 0usize;
     let mut attempt = 0u64;

@@ -45,6 +45,7 @@
 //! `span!` skips even the monotonic-clock read. Instrumented hot paths
 //! cost a few nanoseconds per event when tracing is off.
 
+use crate::fnv::{fnv1a, FNV_BASIS};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -170,16 +171,9 @@ impl Aggregate {
     /// FNV-1a digest over [`Aggregate::deterministic_lines`] — the
     /// thread-count-independent fingerprint of a trace.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for line in self.deterministic_lines() {
-            for b in line.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h ^= b'\n' as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        self.deterministic_lines()
+            .iter()
+            .fold(FNV_BASIS, |h, line| fnv1a(fnv1a(h, line.as_bytes()), b"\n"))
     }
 
     fn render(&self, with_time: bool) -> Vec<String> {

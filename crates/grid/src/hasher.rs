@@ -9,38 +9,19 @@
 //! Performance Book's Hashing chapter). Implemented locally (~30 lines)
 //! rather than pulling in a crate.
 //!
-//! [`fnv1a`] / [`FNV_BASIS`] are the *stable* content-keying digest:
-//! unlike Fx (an in-process hash-table mixer), FNV-1a over a canonical
-//! byte encoding is an interchange fingerprint — the conformance
-//! harness's lattice digests and the batch engine's spec→layout memo
-//! keys both print and compare these values across runs, so the
-//! definition lives here, spelled exactly once.
+//! [`fnv1a`] / [`fnv1a_u64`] / [`FNV_BASIS`] are the *stable*
+//! content-keying digest, re-exported from [`mlv_core::fnv`] where it is
+//! defined once for the whole workspace: unlike Fx (an in-process
+//! hash-table mixer), FNV-1a over a canonical byte encoding is an
+//! interchange fingerprint — the conformance harness's lattice digests,
+//! the batch engine's spec→layout memo keys and the tiled IR's digest
+//! print and compare these values across runs. [`fnv1a_u64`] folds a
+//! word's high zero bytes into one multiply, so the small integers
+//! those keys are made of cost one or two steps instead of eight.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// FNV-1a offset basis (the standard 64-bit initial state).
-pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold `bytes` into an FNV-1a digest state. Start from [`FNV_BASIS`]
-/// (or any prior digest, for incremental keying) and chain freely:
-/// `fnv1a(fnv1a(FNV_BASIS, a), b)` digests the concatenated stream.
-pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Digest a `u64` in little-endian byte order (canonical encoding for
-/// numeric fields in content keys).
-pub fn fnv1a_u64(state: u64, word: u64) -> u64 {
-    fnv1a(state, &word.to_le_bytes())
-}
+pub use mlv_core::fnv::{fnv1a, fnv1a_u64, FNV_BASIS, FNV_PRIME};
 
 /// `HashMap`/`HashSet` build-hasher alias using [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;

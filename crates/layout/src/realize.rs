@@ -86,7 +86,6 @@ pub fn realize(spec: &OrthogonalSpec, opts: &RealizeOptions) -> Layout {
 }
 
 pub(crate) fn pass_config(spec: &OrthogonalSpec, opts: &RealizeOptions) -> PassConfig {
-    spec.assert_valid();
     assert!(opts.layers >= 2, "need at least two layers");
     PassConfig {
         layers: opts.layers,

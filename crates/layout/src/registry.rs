@@ -12,6 +12,7 @@ use crate::families::{self, Family};
 use mlv_core::rng::Rng;
 use mlv_formulas::predictions::{self, Prediction};
 use mlv_topology::cluster::ClusterKind;
+use mlv_topology::NodeId;
 
 /// Parsed arguments of a `"<name>:<args>"` family spec.
 pub struct FamilyArgs<'a> {
@@ -33,7 +34,50 @@ impl FamilyArgs<'_> {
             Ok(())
         }
     }
+
+    /// Check a constructor's parameter domain (`in_domain`, described
+    /// by `domain`), then that the node count — computed with checked
+    /// arithmetic, `None` on overflow — fits a `u32` [`NodeId`]. Either
+    /// failure is an `Err` naming the spec; constructors call this
+    /// before building anything, so no parameter reaches an assert.
+    pub(crate) fn check(
+        &self,
+        in_domain: bool,
+        domain: &str,
+        nodes: Option<usize>,
+    ) -> Result<(), String> {
+        if !in_domain {
+            return Err(format!("'{}': {domain}", self.spec));
+        }
+        match nodes {
+            Some(n) if n <= NodeId::MAX as usize => Ok(()),
+            _ => Err(format!(
+                "'{}': more than {} nodes, the u32 node id range",
+                self.spec,
+                NodeId::MAX
+            )),
+        }
+    }
 }
+
+/// `base^exp`, `None` on overflow.
+fn pow(base: usize, exp: usize) -> Option<usize> {
+    base.checked_pow(u32::try_from(exp).ok()?)
+}
+
+/// `n!`, `None` on overflow.
+fn factorial(n: usize) -> Option<usize> {
+    (1..=n).try_fold(1usize, |f, i| f.checked_mul(i))
+}
+
+/// `m · 2^m`, the node count of the butterfly and CCC families.
+fn levels_times_cube(m: usize) -> Option<usize> {
+    pow(2, m)?.checked_mul(m)
+}
+
+/// Largest binary cube dimension the topology constructors build
+/// (`2^30` nodes).
+const MAX_CUBE_DIM: usize = 30;
 
 /// Closed-form prediction at a layer budget, boxed per lattice draw.
 pub type PredictFn = Box<dyn Fn(usize) -> Prediction>;
@@ -98,76 +142,136 @@ fn pick<T: Copy>(rng: &mut Rng, pool: &[T]) -> T {
 
 // --- constructors ------------------------------------------------------
 
-fn c_hypercube(a: &FamilyArgs) -> Result<Family, String> {
+/// `n` of a binary n-cube spec (hypercube, folded, enhanced).
+fn cube_arg(a: &FamilyArgs) -> Result<usize, String> {
     a.need(1)?;
-    Ok(families::hypercube(a.nums[0]))
+    let n = a.nums[0];
+    a.check(
+        (1..=MAX_CUBE_DIM).contains(&n),
+        "need 1 <= n <= 30",
+        pow(2, n),
+    )?;
+    Ok(n)
+}
+
+fn c_hypercube(a: &FamilyArgs) -> Result<Family, String> {
+    Ok(families::hypercube(cube_arg(a)?))
+}
+
+/// `(k, n)` of a k-ary n-cube or n-mesh spec; `k = 2` is the binary
+/// n-cube.
+fn kary_args(a: &FamilyArgs) -> Result<(usize, usize), String> {
+    a.need(2)?;
+    let (k, n) = (a.nums[0], a.nums[1]);
+    a.check(
+        k >= 2 && n >= 1 && (k > 2 || n <= MAX_CUBE_DIM),
+        "need k >= 2 and n >= 1 (n <= 30 for k = 2)",
+        pow(k, n),
+    )?;
+    Ok((k, n))
 }
 
 fn c_karyn(a: &FamilyArgs) -> Result<Family, String> {
-    a.need(2)?;
-    Ok(families::karyn_cube(a.nums[0], a.nums[1], false))
+    let (k, n) = kary_args(a)?;
+    Ok(families::karyn_cube(k, n, false))
 }
 
 fn c_karyn_folded(a: &FamilyArgs) -> Result<Family, String> {
-    a.need(2)?;
-    Ok(families::karyn_cube(a.nums[0], a.nums[1], true))
+    let (k, n) = kary_args(a)?;
+    Ok(families::karyn_cube(k, n, true))
 }
 
 fn c_mesh(a: &FamilyArgs) -> Result<Family, String> {
-    a.need(2)?;
-    Ok(families::karyn_mesh(a.nums[0], a.nums[1]))
+    let (k, n) = kary_args(a)?;
+    Ok(families::karyn_mesh(k, n))
 }
 
 fn c_genhyper(a: &FamilyArgs) -> Result<Family, String> {
     a.need(1)?;
+    let nodes = a.nums.iter().try_fold(1usize, |p, &r| p.checked_mul(r));
+    a.check(
+        a.nums.iter().all(|&r| r >= 2),
+        "need every radix >= 2",
+        nodes,
+    )?;
     Ok(families::genhyper(&a.nums))
 }
 
 fn c_complete(a: &FamilyArgs) -> Result<Family, String> {
     a.need(1)?;
+    let n = a.nums[0];
+    a.check(n >= 2, "need n >= 2", Some(n))?;
     Ok(families::genhyper(&a.nums[..1]))
 }
 
 fn c_folded(a: &FamilyArgs) -> Result<Family, String> {
-    a.need(1)?;
-    Ok(families::folded_hypercube(a.nums[0]))
+    Ok(families::folded_hypercube(cube_arg(a)?))
 }
 
 fn c_enhanced(a: &FamilyArgs) -> Result<Family, String> {
-    a.need(1)?;
+    let n = cube_arg(a)?;
     let seed = a.nums.get(1).copied().unwrap_or(2026) as u64;
-    Ok(families::enhanced_cube(a.nums[0], seed))
+    Ok(families::enhanced_cube(n, seed))
 }
 
 fn c_ccc(a: &FamilyArgs) -> Result<Family, String> {
     a.need(1)?;
-    Ok(families::ccc(a.nums[0]))
+    let n = a.nums[0];
+    a.check(
+        (1..=25).contains(&n),
+        "need 1 <= n <= 25",
+        levels_times_cube(n),
+    )?;
+    Ok(families::ccc(n))
 }
 
 fn c_rh(a: &FamilyArgs) -> Result<Family, String> {
     a.need(1)?;
-    Ok(families::reduced_hypercube(a.nums[0]))
+    let n = a.nums[0];
+    a.check(
+        n.is_power_of_two() && (2..=16).contains(&n),
+        "need n = 2^s with 2 <= n <= 16",
+        levels_times_cube(n),
+    )?;
+    Ok(families::reduced_hypercube(n))
 }
 
 fn c_butterfly(a: &FamilyArgs) -> Result<Family, String> {
     a.need(1)?;
-    let b = a.nums.get(1).copied().unwrap_or(0);
-    Ok(families::butterfly_clustered(a.nums[0], b))
+    let (m, b) = (a.nums[0], a.nums.get(1).copied().unwrap_or(0));
+    a.check(
+        (1..=25).contains(&m) && b < m,
+        "need 1 <= m <= 25 and b < m",
+        levels_times_cube(m),
+    )?;
+    Ok(families::butterfly_clustered(m, b))
 }
 
 fn c_hsn(a: &FamilyArgs) -> Result<Family, String> {
     a.need(2)?;
-    Ok(families::hsn(a.nums[0], a.nums[1]))
+    let (levels, r) = (a.nums[0], a.nums[1]);
+    a.check(
+        levels >= 2 && r >= 2,
+        "need levels >= 2 and r >= 2",
+        pow(r, levels),
+    )?;
+    Ok(families::hsn(levels, r))
 }
 
 fn c_hhn(a: &FamilyArgs) -> Result<Family, String> {
     a.need(2)?;
-    Ok(families::hhn(a.nums[0], a.nums[1]))
+    let (levels, s) = (a.nums[0], a.nums[1]);
+    let nodes = pow(2, s).and_then(|r| pow(r, levels));
+    a.check(levels >= 2 && s >= 1, "need levels >= 2 and s >= 1", nodes)?;
+    Ok(families::hhn(levels, s))
 }
 
 fn c_isn(a: &FamilyArgs) -> Result<Family, String> {
     a.need(2)?;
-    Ok(families::isn(a.nums[0], a.nums[1]))
+    let (levels, r) = (a.nums[0], a.nums[1]);
+    let nodes = pow(r, levels).and_then(|labels| labels.checked_mul(levels));
+    a.check(levels >= 2 && r >= 2, "need levels >= 2 and r >= 2", nodes)?;
+    Ok(families::isn(levels, r))
 }
 
 fn c_clusterc(a: &FamilyArgs) -> Result<Family, String> {
@@ -178,39 +282,58 @@ fn c_clusterc(a: &FamilyArgs) -> Result<Family, String> {
         Some("complete") => ClusterKind::Complete,
         Some(other) => return Err(format!("unknown cluster kind '{other}'")),
     };
-    Ok(families::kary_cluster(
-        a.nums[0], a.nums[1], a.nums[2], kind,
-    ))
+    let (k, n, c) = (a.nums[0], a.nums[1], a.nums[2]);
+    a.check(
+        k >= 1 && c >= 1 && (kind != ClusterKind::Hypercube || c.is_power_of_two()),
+        "need k >= 1 and c >= 1 (c = 2^s for cube clusters)",
+        pow(k, n).and_then(|q| q.checked_mul(c)),
+    )?;
+    Ok(families::kary_cluster(k, n, c, kind))
+}
+
+/// `n` of a Cayley-graph spec over the symmetric group `S_n`, which
+/// the topology constructors enumerate for `n <= 9`.
+fn symmetric_arg(a: &FamilyArgs) -> Result<usize, String> {
+    a.need(1)?;
+    let n = a.nums[0];
+    a.check((2..=9).contains(&n), "need 2 <= n <= 9", factorial(n))?;
+    Ok(n)
 }
 
 fn c_star(a: &FamilyArgs) -> Result<Family, String> {
-    a.need(1)?;
-    Ok(families::star(a.nums[0]))
+    Ok(families::star(symmetric_arg(a)?))
 }
 
 fn c_pancake(a: &FamilyArgs) -> Result<Family, String> {
-    a.need(1)?;
-    Ok(families::pancake(a.nums[0]))
+    Ok(families::pancake(symmetric_arg(a)?))
 }
 
 fn c_bubble(a: &FamilyArgs) -> Result<Family, String> {
-    a.need(1)?;
-    Ok(families::bubble_sort(a.nums[0]))
+    Ok(families::bubble_sort(symmetric_arg(a)?))
 }
 
 fn c_transposition(a: &FamilyArgs) -> Result<Family, String> {
-    a.need(1)?;
-    Ok(families::transposition(a.nums[0]))
+    Ok(families::transposition(symmetric_arg(a)?))
 }
 
 fn c_scc(a: &FamilyArgs) -> Result<Family, String> {
     a.need(1)?;
-    Ok(families::scc(a.nums[0]))
+    let n = a.nums[0];
+    let nodes = factorial(n).and_then(|f| f.checked_mul(n.saturating_sub(1)));
+    a.check((3..=8).contains(&n), "need 3 <= n <= 8", nodes)?;
+    Ok(families::scc(n))
 }
 
 fn c_macrostar(a: &FamilyArgs) -> Result<Family, String> {
     a.need(2)?;
-    Ok(families::macro_star(a.nums[0], a.nums[1]))
+    let (l, n) = (a.nums[0], a.nums[1]);
+    let symbols = l.checked_mul(n).and_then(|ln| ln.checked_add(1));
+    a.check(
+        l >= 1 && n >= 1 && symbols.is_some_and(|s| s <= 8),
+        "need l >= 1, n >= 1 and l*n + 1 <= 8",
+        symbols.and_then(factorial),
+    )?;
+    Ok(families::macro_star(l, n))
 }
 
 // --- lattice draws -----------------------------------------------------
@@ -746,6 +869,101 @@ mod tests {
             words: vec!["4"],
         })
         .is_ok());
+    }
+
+    /// Degenerate and oversized specs, at least one for every registry
+    /// entry. Each would reach an assert in a generator or in the
+    /// topology crate if its constructor did not check its domain and
+    /// node count first.
+    const OUT_OF_DOMAIN: &[&str] = &[
+        "hypercube:0",
+        "hypercube:33",
+        "karyn:1,3",
+        "karyn:4,20",
+        "karyn:2,31",
+        "karyn-folded:0,2",
+        "mesh:1,1",
+        "mesh:3,0",
+        "ghc:1,1",
+        "ghc:3,0",
+        "complete:1",
+        "butterfly:0",
+        "butterfly:40",
+        "butterfly:3,3",
+        "ccc:0",
+        "ccc:26",
+        "rh:0",
+        "rh:3",
+        "folded:0",
+        "folded:31",
+        "enhanced:0",
+        "hsn:0,2",
+        "hsn:2,1",
+        "hhn:1,2",
+        "hhn:2,0",
+        "isn:1,0",
+        "isn:2,1",
+        "clusterc:0,0,0",
+        "clusterc:2,2,3,cube",
+        "star:1",
+        "star:10",
+        "pancake:0",
+        "bubble:10",
+        "transposition:1",
+        "scc:2",
+        "scc:9",
+        "macrostar:0,0",
+        "macrostar:2,4",
+    ];
+
+    #[test]
+    fn out_of_domain_parameters_are_typed_errors() {
+        for spec in OUT_OF_DOMAIN {
+            let err = parse(spec).err().unwrap_or_else(|| panic!("{spec} built"));
+            assert!(err.starts_with(&format!("'{spec}': ")), "{spec}: {err}");
+        }
+        for e in REGISTRY {
+            assert!(
+                OUT_OF_DOMAIN
+                    .iter()
+                    .any(|s| s.split(':').next() == Some(e.keyword)),
+                "no out-of-domain case for {}",
+                e.name
+            );
+        }
+        assert_eq!(
+            parse("karyn:4,20").err().unwrap(),
+            "'karyn:4,20': more than 4294967295 nodes, the u32 node id range"
+        );
+    }
+
+    #[test]
+    fn domain_boundaries_still_build() {
+        for spec in [
+            "hypercube:1",
+            "karyn:2,1",
+            "karyn:3,1",
+            "mesh:2,1",
+            "ghc:2",
+            "complete:2",
+            "butterfly:1",
+            "butterfly:3,2",
+            "ccc:1",
+            "rh:2",
+            "folded:1",
+            "enhanced:1",
+            "hsn:2,2",
+            "hhn:2,1",
+            "isn:2,2",
+            "clusterc:1,0,1",
+            "clusterc:2,2,4,cube",
+            "star:2",
+            "scc:3",
+            "macrostar:1,1",
+        ] {
+            let fam = parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            fam.spec.assert_valid();
+        }
     }
 
     #[test]

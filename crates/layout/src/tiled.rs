@@ -409,8 +409,13 @@ impl StreamSource for TiledLayout {
 /// # Panics
 /// If the spec is invalid or `opts.layers < 2`.
 pub fn realize_tiled(spec: &OrthogonalSpec, opts: &RealizeOptions) -> TiledLayout {
-    let cfg = crate::realize::pass_config(spec, opts);
-    with_scratch(|s| run_pipeline(spec, &cfg, s))
+    with_scratch(|s| {
+        // validation lends placement's terminal-offset buffer, which
+        // placement clears before use
+        spec.assert_valid_with(&mut s.term_off);
+        let cfg = crate::realize::pass_config(spec, opts);
+        run_pipeline(spec, &cfg, s)
+    })
 }
 
 /// Realize a spec into the tiled IR in the multilayer 3-D grid model
@@ -420,22 +425,24 @@ pub fn realize_tiled(spec: &OrthogonalSpec, opts: &RealizeOptions) -> TiledLayou
 /// # Panics
 /// If the spec is invalid or [`Realize3dOptions::validate`] fails.
 pub fn realize_tiled_3d(spec: &OrthogonalSpec, opts: &Realize3dOptions) -> TiledLayout {
-    spec.assert_valid();
-    if let Err(e) = opts.validate() {
-        panic!("need L_A | L, L/L_A >= 2: {e}");
-    }
-    let cfg = crate::passes::PassConfig {
-        layers: opts.layers,
-        active_layers: opts.active_layers,
-        node_side: opts.node_side,
-        jog_strategy: crate::realize::JogStrategy::RoundRobin,
-        layout_name: format!(
-            "{} @ L={} LA={} (3-D)",
-            spec.name, opts.layers, opts.active_layers
-        ),
-        pdk: opts.pdk.clone(),
-    };
-    with_scratch(|s| run_pipeline(spec, &cfg, s))
+    with_scratch(|s| {
+        spec.assert_valid_with(&mut s.term_off);
+        if let Err(e) = opts.validate() {
+            panic!("need L_A | L, L/L_A >= 2: {e}");
+        }
+        let cfg = crate::passes::PassConfig {
+            layers: opts.layers,
+            active_layers: opts.active_layers,
+            node_side: opts.node_side,
+            jog_strategy: crate::realize::JogStrategy::RoundRobin,
+            layout_name: format!(
+                "{} @ L={} LA={} (3-D)",
+                spec.name, opts.layers, opts.active_layers
+            ),
+            pdk: opts.pdk.clone(),
+        };
+        run_pipeline(spec, &cfg, s)
+    })
 }
 
 #[cfg(test)]

@@ -152,12 +152,7 @@ impl Service {
             // dispatch records the request's id here as soon as it has
             // parsed one, so a handler that panics still answers to it
             let id = Cell::new(None);
-            let out =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.dispatch(line, &id)))
-                    .unwrap_or_else(|_| {
-                        mlv_core::counter!("serve.panic", 1);
-                        err_frame(id.get(), "internal: request handler panicked")
-                    });
+            let out = contain(&id, || self.dispatch(line, &id));
             mlv_core::histogram!(
                 "serve.request_ns",
                 started.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -380,6 +375,15 @@ impl Service {
     }
 }
 
+/// Run one request's handler; if it panics, answer with an error frame
+/// for the id the handler recorded in `id` before it unwound.
+fn contain(id: &Cell<Option<u64>>, handler: impl FnOnce() -> String) -> String {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        mlv_core::counter!("serve.panic", 1);
+        err_frame(id.get(), "internal: request handler panicked")
+    })
+}
+
 fn fmt_id(id: Option<u64>) -> String {
     match id {
         Some(n) => n.to_string(),
@@ -393,4 +397,25 @@ fn err_frame(id: Option<u64>, message: &str) -> String {
         fmt_id(id),
         json_escape(message)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_request_keeps_its_id() {
+        // no request is known to panic a handler, so one is simulated:
+        // the containment frame must still answer to request 7
+        let id = Cell::new(None);
+        let r = contain(&id, || {
+            id.set(Some(7));
+            panic!("handler bug")
+        });
+        assert_eq!(
+            r,
+            r#"{"id":7,"ok":false,"error":"internal: request handler panicked"}"#
+        );
+        assert_eq!(contain(&id, || "fine".into()), "fine");
+    }
 }

@@ -173,13 +173,25 @@ fn malformed_requests_get_error_frames_without_panic() {
 }
 
 #[test]
-fn a_panicking_request_keeps_its_id() {
-    // hypercube:64 overflows u32 node ids and panics in the generator;
-    // the containment frame must still answer to request 7
+fn out_of_domain_families_get_typed_errors_with_their_ids() {
+    // degenerate and oversized parameters are rejected before anything
+    // is built (hypercube:64 would overflow u32 node ids), and the error
+    // frame keeps the request's id
     let s = service();
-    let r = s.handle_line(r#"{"id":7,"kind":"realize","family":"hypercube:64"}"#);
-    assert!(r.starts_with(r#"{"id":7,"ok":false"#), "{r}");
-    assert!(r.contains("panicked"), "{r}");
+    for (id, family, error) in [
+        (7, "hypercube:64", "'hypercube:64': need 1 <= n <= 30"),
+        (
+            8,
+            "karyn:4,20",
+            "'karyn:4,20': more than 4294967295 nodes, the u32 node id range",
+        ),
+        (9, "star:1", "'star:1': need 2 <= n <= 9"),
+    ] {
+        let r = s.handle_line(&format!(
+            r#"{{"id":{id},"kind":"realize","family":"{family}"}}"#
+        ));
+        assert_eq!(r, format!(r#"{{"id":{id},"ok":false,"error":"{error}"}}"#));
+    }
     assert_eq!(s.in_flight(), 0);
 }
 
