@@ -167,6 +167,37 @@ fn check_verifies_a_huge_footprint() {
         .contains("unknown flag '--tiled'"));
 }
 
+/// Coordinates that span the whole `i64` range make a layout 2⁶⁴
+/// columns wide: its area saturates at `u64::MAX` rather than
+/// overflowing (a panic in a debug build, `area 0` in a release one),
+/// and a PDK's physical metrics report the overflow.
+#[test]
+fn check_saturates_a_full_range_span() {
+    let dir = std::env::temp_dir().join(format!("mlv-cli-full-range-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("big.mlv");
+    std::fs::write(
+        &path,
+        "mlvlayout 1\nlayout big layers=2\n\
+         node 0 -9223372036854775808 0 -9223372036854775808 0 layer=0\n\
+         node 1 9223372036854775807 0 9223372036854775807 0 layer=0\n\
+         wire 0 1 -9223372036854775808,0,0 9223372036854775807,0,0\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    let out = mlv(&["check", file]);
+    let hv6 = mlv(&["check", file, "--pdk", "hv6"]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("area 18446744073709551615,"), "{stdout}");
+    assert!(stdout.contains("legality: VERIFIED"), "{stdout}");
+    let stdout = String::from_utf8(hv6.stdout).unwrap();
+    assert!(hv6.status.success(), "{stdout}");
+    assert!(stdout.contains("physical: unavailable"), "{stdout}");
+    assert!(stdout.contains("legality: VERIFIED"), "{stdout}");
+}
+
 /// An `--active-layers` budget `Realize3dOptions::validate` rejects is a
 /// clean error (exit 1), never a panic, with and without `--tiled`;
 /// `0` is rejected rather than silently realized in 2-D.

@@ -41,6 +41,11 @@
 //!   which meets runs and other diagonals in the same sweep, run in
 //!   coordinates whose axes are the two directions.
 //!
+//! So a legal layout takes one walk, which applies the per-wire rules
+//! and collects the runs, and one sweep over all of them, which finds
+//! no meeting. Only a layout whose runs meet is walked again, to name
+//! each wire's first revisit in path order and the shared points.
+//!
 //! A wire has at most one run per segment, so a first walk over the
 //! source sums that bound and the run array is allocated once, never
 //! regrown. An illegal layout visits only the points it reports. The
@@ -50,9 +55,9 @@
 use crate::geom::Point3;
 use crate::hasher::FxBuildHasher;
 use crate::layout::NodePlacement;
-use crate::path::PathError;
+use crate::path::{stats_of, PathError};
 use crate::pdk::Pdk;
-use crate::runs::{self, Coord, Run, Sink, Stretch};
+use crate::runs::{self, AnyMeeting, Coord, Run, Sink, Stretch};
 use crate::streaming::{FpIndex, StreamSource};
 use mlv_topology::{EdgeId, Graph, NodeId};
 use std::cmp::Reverse;
@@ -192,9 +197,10 @@ impl CheckError {
 pub struct CheckReport {
     /// All violations found (capped at [`CheckReport::ERROR_CAP`]).
     pub errors: Vec<CheckError>,
-    /// Total grid points occupied by wires.
+    /// Total grid points occupied by wires, saturating at `u64::MAX`.
     pub wire_points: u64,
-    /// Total grid points occupied by node footprints.
+    /// Total grid points occupied by node footprints, saturating at
+    /// `u64::MAX`.
     pub node_points: u64,
 }
 
@@ -232,34 +238,53 @@ pub fn check<S: StreamSource + ?Sized>(src: &S, reference: Option<&Graph>) -> Ch
     let placed: HashMap<NodeId, i32, FxBuildHasher> =
         placements.iter().map(|n| (n.node, n.layer)).collect();
     // a wire splits into at most one run per segment, or one run if it
-    // has a single corner, so the run array is sized once
+    // has a single corner, so the run array is sized once; the same walk
+    // totals the wire points and the endpoint multiset, one pair a wire
     let mut run_bound = 0usize;
-    src.visit_wires(&mut |_, _, corners| {
+    let mut wire_points = 0u64;
+    let mut multiset = reference.map(|_| Vec::with_capacity(src.wire_count()));
+    src.visit_wires(&mut |u, v, corners| {
         run_bound += corners.len().saturating_sub(1).max(1);
+        if !corners.is_empty() {
+            let steps = stats_of(corners).1;
+            wire_points = wire_points.saturating_add(steps).saturating_add(1);
+        }
+        if let Some(m) = &mut multiset {
+            m.push(if u <= v { (u, v) } else { (v, u) });
+        }
     });
 
+    let overlaps = node_overlaps(&placements);
+    let node_errors = overlaps.len();
     let mut scan = WireScan {
         rules: WireRules {
             layers: src.layers() as i32,
             fp: &fp,
             placed: &placed,
         },
-        errors: node_overlaps(&placements),
+        revisits: false,
+        errors: overlaps,
         wires: 0,
-        wire_points: 0,
-        multiset: reference.map(|_| Vec::new()),
         runs: Vec::with_capacity(run_bound),
         diagonals: Vec::new(),
         path: Vec::new(),
         scratch: Vec::new(),
     };
     src.visit_wires(&mut |u, v, corners| scan.visit(u, v, corners));
-    let mut errors = scan.errors;
-
-    if errors.len() < cap {
-        shared_points(&mut scan.runs, &scan.diagonals, &mut errors);
+    // A wire revisits a point only where two of its own runs meet. So if
+    // no runs meet, no wire revisits a point and no two wires share one,
+    // and the walk, which skipped the revisit test, made the report.
+    // Otherwise walk again in the same run array, testing each wire for
+    // its first revisit in path order, and name the shared points.
+    if runs::meetings(&mut scan.runs, &scan.diagonals, &mut AnyMeeting).is_break() {
+        scan.restart(node_errors);
+        src.visit_wires(&mut |u, v, corners| scan.visit(u, v, corners));
+        if scan.errors.len() < cap {
+            shared_points(&mut scan.runs, &scan.diagonals, &mut scan.errors);
+        }
     }
-    if let (Some(g), Some(pairs)) = (reference, scan.multiset) {
+    let mut errors = scan.errors;
+    if let (Some(g), Some(pairs)) = (reference, multiset) {
         if errors.len() < cap {
             topology_errors(g, placements.len(), pairs, &mut errors);
         }
@@ -269,8 +294,10 @@ pub fn check<S: StreamSource + ?Sized>(src: &S, reference: Option<&Graph>) -> Ch
     mlv_core::counter!("checker.errors", errors.len() as u64);
     CheckReport {
         errors,
-        wire_points: scan.wire_points,
-        node_points: placements.iter().map(|n| n.rect.point_count()).sum(),
+        wire_points,
+        node_points: placements
+            .iter()
+            .fold(0u64, |sum, n| sum.saturating_add(n.rect.point_count())),
     }
 }
 
@@ -394,19 +421,17 @@ impl WireRules<'_> {
     }
 }
 
-/// The one walk over the source's wires. It totals the wire points and
-/// the endpoint multiset the later phases need, runs the per-wire rules
-/// while errors are under the cap, and collects every wire's runs and
+/// A walk over the source's wires. It runs the per-wire rules while
+/// errors are under the cap and collects every wire's runs and
 /// diagonals for the cross-wire phase.
 struct WireScan<'a> {
     rules: WireRules<'a>,
+    /// Whether to test each wire for its first revisit. Only a layout
+    /// whose runs meet needs it.
+    revisits: bool,
     errors: Vec<CheckError>,
     /// Wires visited so far.
     wires: usize,
-    wire_points: u64,
-    /// Wire endpoint pairs (canonical order), kept only when checking
-    /// topology.
-    multiset: Option<Vec<(NodeId, NodeId)>>,
     runs: Vec<Run>,
     diagonals: Vec<(Stretch, u32)>,
     /// The current wire's runs in path order, and working space.
@@ -418,13 +443,6 @@ impl WireScan<'_> {
     fn visit(&mut self, u: NodeId, v: NodeId, corners: &[Point3]) {
         let i = self.wires;
         self.wires += 1;
-        if let Some(m) = &mut self.multiset {
-            m.push(if u <= v { (u, v) } else { (v, u) });
-        }
-        if !corners.is_empty() {
-            let steps: u64 = corners.windows(2).map(|w| w[0].manhattan(&w[1])).sum();
-            self.wire_points += steps + 1;
-        }
         if self.errors.len() >= CheckReport::ERROR_CAP {
             return; // no later phase runs
         }
@@ -434,9 +452,11 @@ impl WireScan<'_> {
             Some(PathError::Empty)
         } else if let Some(k) = bad {
             Some(PathError::NotAxisAligned(k))
-        } else {
+        } else if self.revisits {
             runs::first_revisit(&self.path, &mut self.scratch)
                 .map(|c| PathError::SelfIntersection(runs::point(c)))
+        } else {
+            None
         };
         match path_error {
             Some(e) => self.errors.push(CheckError::BadPath {
@@ -449,6 +469,17 @@ impl WireScan<'_> {
         }
         self.errors.truncate(CheckReport::ERROR_CAP);
         self.runs.extend(self.path.iter().map(|&(r, _)| r));
+    }
+
+    /// Start a second walk that tests revisits: keep the first `kept`
+    /// errors, which come before any wire's, and empty the run array in
+    /// place, so that two are never held.
+    fn restart(&mut self, kept: usize) {
+        self.revisits = true;
+        self.errors.truncate(kept);
+        self.wires = 0;
+        self.runs.clear();
+        self.diagonals.clear();
     }
 }
 
@@ -714,6 +745,7 @@ mod tests {
     use super::*;
     use crate::geom::Rect;
     use crate::layout::Layout;
+    use crate::naive_checker::naive_check;
     use crate::path::WirePath;
     use mlv_topology::GraphBuilder;
 
@@ -1028,6 +1060,128 @@ mod tests {
             check_with_pdk(&l, None, &Pdk::hv6()).is_legal(),
             "terminal-covering runs must be pitch-exempt"
         );
+    }
+
+    /// The checker's report, which must equal the naive reference's.
+    fn judged(l: &Layout) -> CheckReport {
+        let r = check(l, None);
+        assert_eq!(r, naive_check(l, None));
+        r
+    }
+
+    fn kinds(r: &CheckReport) -> Vec<&'static str> {
+        r.errors.iter().map(CheckError::kind).collect()
+    }
+
+    /// Nodes 0 at (0, 0), 1 at (20, 0), 2 at (0, -5) and 3 at (20, -5),
+    /// and node 9, a block across x = 10..12, y = 8..12.
+    fn corridor() -> Layout {
+        let mut l = Layout::new("corridor", 2);
+        l.place_node(0, Rect::new(0, 0, 0, 0));
+        l.place_node(1, Rect::new(20, 0, 20, 0));
+        l.place_node(2, Rect::new(0, -5, 0, -5));
+        l.place_node(3, Rect::new(20, -5, 20, -5));
+        l.place_node(9, Rect::new(10, 8, 12, 12));
+        l
+    }
+
+    /// From node 0 out along y = 0 to x = 15, back over it on layer 1,
+    /// down onto (5, 0, 0), which it visited, and on to node 1 along
+    /// y = 10, through node 9.
+    fn revisiting() -> WirePath {
+        WirePath::new(vec![
+            p(0, 0, 0),
+            p(15, 0, 0),
+            p(15, 0, 1),
+            p(5, 0, 1),
+            p(5, 0, 0),
+            p(5, 10, 0),
+            p(20, 10, 0),
+            p(20, 0, 0),
+        ])
+    }
+
+    fn straight(a: Point3, b: Point3) -> WirePath {
+        WirePath::new(vec![a, b])
+    }
+
+    /// A bar of foreign footprint at x = `x`, y = -20..20, with a node
+    /// below and above it and a wire between them along the bar: 41
+    /// foreign points.
+    fn through_bar(l: &mut Layout, x: i64, ids: [NodeId; 3]) {
+        l.place_node(ids[0], Rect::new(x, -20, x, 20));
+        l.place_node(ids[1], Rect::new(x, -30, x, -30));
+        l.place_node(ids[2], Rect::new(x, 30, x, 30));
+        l.add_wire(ids[1], ids[2], straight(p(x, -30, 0), p(x, 30, 0)));
+    }
+
+    #[test]
+    fn a_lone_self_revisit_is_the_bad_path_it_was() {
+        let mut l = corridor();
+        l.add_wire(0, 1, revisiting());
+        l.add_wire(2, 3, straight(p(0, -5, 0), p(20, -5, 0)));
+        let r = judged(&l);
+        // the revisit suppresses the wire's pass through node 9
+        assert_eq!(
+            r.errors,
+            vec![
+                CheckError::BadPath {
+                    wire: 0,
+                    reason: "SelfIntersection(Point3 { x: 5, y: 0, z: 0 })".into(),
+                },
+                CheckError::WireConflict {
+                    a: 0,
+                    b: 0,
+                    point: p(5, 0, 0),
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_self_revisit_then_foreign_points_to_the_cap() {
+        let mut l = corridor();
+        l.add_wire(0, 1, revisiting());
+        through_bar(&mut l, 30, [20, 21, 22]);
+        through_bar(&mut l, 31, [23, 24, 25]);
+        let r = judged(&l);
+        assert_eq!(r.errors.len(), CheckReport::ERROR_CAP);
+        assert_eq!(kinds(&r)[..2], ["BadPath", "WireThroughNode"]);
+        let last = CheckError::WireThroughNode {
+            wire: 2,
+            node: 23,
+            point: p(31, -20 + 21, 0),
+        };
+        assert_eq!(r.errors.last(), Some(&last));
+    }
+
+    #[test]
+    fn a_revisiting_run_that_meets_another_wire() {
+        let mut l = corridor();
+        l.add_wire(0, 1, revisiting());
+        // crosses the revisited run at (8, 0, 0)
+        l.place_node(4, Rect::new(8, -3, 8, -3));
+        l.place_node(5, Rect::new(8, 3, 8, 3));
+        l.add_wire(4, 5, straight(p(8, -3, 0), p(8, 3, 0)));
+        let r = judged(&l);
+        assert_eq!(kinds(&r), ["BadPath", "WireConflict", "WireConflict"]);
+        let conflict = CheckError::WireConflict {
+            a: 0,
+            b: 1,
+            point: p(8, 0, 0),
+        };
+        assert_eq!(r.errors[2], conflict);
+    }
+
+    #[test]
+    fn per_wire_errors_fill_the_cap_before_a_later_revisit() {
+        let mut l = corridor();
+        through_bar(&mut l, 30, [20, 21, 22]);
+        through_bar(&mut l, 31, [23, 24, 25]);
+        l.add_wire(0, 1, revisiting());
+        let r = judged(&l);
+        assert_eq!(r.errors.len(), CheckReport::ERROR_CAP);
+        assert!(kinds(&r).iter().all(|&k| k == "WireThroughNode"));
     }
 
     #[test]

@@ -19,9 +19,13 @@ impl Point3 {
         Point3 { x, y, z }
     }
 
-    /// Manhattan distance to `other` (including the layer axis).
+    /// Manhattan distance to `other` (including the layer axis),
+    /// saturating at `u64::MAX`.
     pub fn manhattan(&self, other: &Point3) -> u64 {
-        self.x.abs_diff(other.x) + self.y.abs_diff(other.y) + (self.z.abs_diff(other.z) as u64)
+        self.x
+            .abs_diff(other.x)
+            .saturating_add(self.y.abs_diff(other.y))
+            .saturating_add(self.z.abs_diff(other.z) as u64)
     }
 
     /// `true` if the two points differ in exactly one coordinate
@@ -57,19 +61,20 @@ impl Rect {
         Rect { x0, y0, x1, y1 }
     }
 
-    /// Number of grid columns spanned.
+    /// Number of grid columns spanned, saturating at `u64::MAX` (a span
+    /// of the whole `i64` range has 2⁶⁴ columns).
     pub fn width(&self) -> u64 {
-        (self.x1 - self.x0 + 1) as u64
+        self.x1.abs_diff(self.x0).saturating_add(1)
     }
 
-    /// Number of grid rows spanned.
+    /// Number of grid rows spanned, saturating at `u64::MAX`.
     pub fn height(&self) -> u64 {
-        (self.y1 - self.y0 + 1) as u64
+        self.y1.abs_diff(self.y0).saturating_add(1)
     }
 
-    /// Number of grid points contained.
+    /// Number of grid points contained, saturating at `u64::MAX`.
     pub fn point_count(&self) -> u64 {
-        self.width() * self.height()
+        self.width().saturating_mul(self.height())
     }
 
     /// `true` if the planar coordinates of `p` fall inside.
@@ -130,6 +135,24 @@ mod tests {
         assert_eq!(r.width(), 3);
         assert_eq!(r.height(), 1);
         assert_eq!(r.point_count(), 3);
+    }
+
+    #[test]
+    fn measures_of_the_full_i64_range_saturate() {
+        let full = Rect::new(i64::MIN, 0, i64::MAX, 0);
+        assert_eq!(full.width(), u64::MAX);
+        assert_eq!(full.height(), 1);
+        assert_eq!(full.point_count(), u64::MAX);
+        let half = Rect::new(-1, i64::MIN, i64::MAX - 1, -1);
+        assert_eq!(half.width(), 1 << 63);
+        assert_eq!(half.height(), 1 << 63);
+        assert_eq!(half.point_count(), u64::MAX);
+        let (a, b) = (
+            Point3::new(i64::MIN, i64::MIN, 0),
+            Point3::new(i64::MAX, 0, 3),
+        );
+        assert_eq!(a.manhattan(&b), u64::MAX);
+        assert_eq!(a.manhattan(&Point3::new(i64::MAX, i64::MIN, 0)), u64::MAX);
     }
 
     #[test]

@@ -18,23 +18,15 @@ use crate::geom::{Point3, Rect};
 use crate::layout::Layout;
 use crate::path::WirePath;
 use crate::streaming::StreamSource;
-use mlv_topology::NodeId;
 use std::fmt::{self, Write as _};
 
 /// Serialize a layout — a flat [`Layout`] or any other
 /// [`StreamSource`], such as a tiled IR — to the text format.
 pub fn write_layout<S: StreamSource + ?Sized>(src: &S) -> String {
     let mut out = String::new();
-    write_layout_into(src, &mut out);
-    out
-}
-
-/// [`write_layout`] into a caller-owned buffer: `out` is cleared and
-/// then filled with the exact same bytes `write_layout` returns.
-pub fn write_layout_into<S: StreamSource + ?Sized>(src: &S, out: &mut String) {
-    out.clear();
     // writing into a String cannot fail
-    let _ = write_layout_to(src, out);
+    let _ = write_layout_to(src, &mut out);
+    out
 }
 
 /// Stream the text format of `src` into any [`fmt::Write`] sink, record
@@ -45,6 +37,8 @@ pub fn write_layout_into<S: StreamSource + ?Sized>(src: &S, out: &mut String) {
 /// repeated consecutive corners is written once, as
 /// [`WirePath::new`] stores it, so a source that yields raw corner
 /// sequences serializes to the same bytes as its materialized layout.
+/// Each `node` and `wire` record reaches the sink as one `write_str`
+/// call.
 pub fn write_layout_to<S, W>(src: &S, out: &mut W) -> fmt::Result
 where
     S: StreamSource + ?Sized,
@@ -52,40 +46,103 @@ where
 {
     writeln!(out, "mlvlayout 1")?;
     writeln!(out, "layout {} layers={}", escape(src.name()), src.layers())?;
+    let mut line = Line(Vec::new());
     let mut res = Ok(());
     src.visit_nodes(&mut |n| {
         if res.is_ok() {
-            res = writeln!(
-                out,
-                "node {} {} {} {} {} layer={}",
-                n.node, n.rect.x0, n.rect.y0, n.rect.x1, n.rect.y1, n.layer
-            );
+            let r = n.rect;
+            line.text("node ");
+            line.int(n.node.into());
+            for v in [r.x0, r.y0, r.x1, r.y1] {
+                line.text(" ");
+                line.int(v);
+            }
+            line.text(" layer=");
+            line.int(n.layer.into());
+            res = line.end(out);
         }
     });
     res?;
     src.visit_wires(&mut |u, v, corners| {
         if res.is_ok() {
-            res = write_wire(out, u, v, corners);
+            line.text("wire ");
+            line.int(u.into());
+            line.text(" ");
+            line.int(v.into());
+            let mut prev = None;
+            for &c in corners {
+                if prev != Some(c) {
+                    line.text(" ");
+                    line.int(c.x);
+                    line.text(",");
+                    line.int(c.y);
+                    line.text(",");
+                    line.int(c.z.into());
+                    prev = Some(c);
+                }
+            }
+            res = line.end(out);
         }
     });
     res
 }
 
-fn write_wire<W: fmt::Write + ?Sized>(
-    out: &mut W,
-    u: NodeId,
-    v: NodeId,
-    corners: &[Point3],
-) -> fmt::Result {
-    write!(out, "wire {u} {v}")?;
-    let mut prev = None;
-    for &c in corners {
-        if prev != Some(c) {
-            write!(out, " {},{},{}", c.x, c.y, c.z)?;
-            prev = Some(c);
+/// The decimal digits of 0 to 99, two bytes each.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// One record of the text format, built in a reused buffer and handed
+/// to the sink whole: a sink called once per integer, as `fmt` does,
+/// made the text digest 2–5× the cost of hashing its bytes.
+struct Line(Vec<u8>);
+
+// The methods are inlined into each sink's copy of `write_layout_to`,
+// which other crates instantiate: otherwise every integer is a call.
+impl Line {
+    #[inline]
+    fn text(&mut self, s: &str) {
+        self.0.extend_from_slice(s.as_bytes());
+    }
+
+    /// `v` in decimal, as `Display` writes it. The digits go into a
+    /// fixed-size block that is then cut to length, because a copy of a
+    /// variable length is a call.
+    #[inline]
+    fn int(&mut self, v: i64) {
+        if v < 0 {
+            self.0.push(b'-');
+        }
+        let mut n = v.unsigned_abs();
+        let digits = n.checked_ilog10().map_or(1, |k| k as usize + 1);
+        let start = self.0.len();
+        self.0.extend_from_slice(&[b'0'; 20]);
+        self.0.truncate(start + digits);
+        // two digits per division, from the right
+        let mut rest = &mut self.0[start..];
+        while let [head @ .., a, b] = rest {
+            let k = (n % 100) as usize * 2;
+            n /= 100;
+            (*a, *b) = (DIGIT_PAIRS[k], DIGIT_PAIRS[k + 1]);
+            rest = head;
+        }
+        if let [d] = rest {
+            *d = b'0' + n as u8;
         }
     }
-    out.write_char('\n')
+
+    /// End the record with a newline, write it, and empty the buffer.
+    #[inline]
+    fn end<W: fmt::Write + ?Sized>(&mut self, out: &mut W) -> fmt::Result {
+        self.0.push(b'\n');
+        let text = std::str::from_utf8(&self.0).expect("a record is ASCII");
+        let res = out.write_str(text);
+        self.0.clear();
+        res
+    }
 }
 
 /// A parse failure, with the offending 1-based line number.
@@ -289,6 +346,9 @@ pub fn unescape(s: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::NodePlacement;
+    use mlv_core::prop;
+    use mlv_topology::NodeId;
 
     fn sample() -> Layout {
         let mut l = Layout::new("round trip", 4);
@@ -305,14 +365,6 @@ mod tests {
             ]),
         );
         l
-    }
-
-    #[test]
-    fn write_into_reuses_buffer_and_matches() {
-        let l = sample();
-        let mut buf = String::from("stale content from a previous layout");
-        write_layout_into(&l, &mut buf);
-        assert_eq!(buf, write_layout(&l));
     }
 
     /// A source that yields each wire's corners with every corner
@@ -333,7 +385,7 @@ mod tests {
         fn wire_count(&self) -> usize {
             self.0.wires.len()
         }
-        fn visit_nodes(&self, f: &mut dyn FnMut(crate::layout::NodePlacement)) {
+        fn visit_nodes(&self, f: &mut dyn FnMut(NodePlacement)) {
             self.0.visit_nodes(f)
         }
         fn visit_wires(&self, f: &mut dyn FnMut(NodeId, NodeId, &[Point3])) {
@@ -349,6 +401,103 @@ mod tests {
         let l = sample();
         let text = write_layout(&l);
         assert_eq!(write_layout(&Doubled(l)), text);
+    }
+
+    /// A source that yields exactly what it holds: any coordinates, ids
+    /// and layers, and raw corners with repeats.
+    struct Raw {
+        nodes: Vec<NodePlacement>,
+        wires: Vec<(NodeId, NodeId, Vec<Point3>)>,
+    }
+
+    impl StreamSource for Raw {
+        fn name(&self) -> &str {
+            "raw source"
+        }
+        fn layers(&self) -> usize {
+            3
+        }
+        fn node_count(&self) -> usize {
+            self.nodes.len()
+        }
+        fn wire_count(&self) -> usize {
+            self.wires.len()
+        }
+        fn visit_nodes(&self, f: &mut dyn FnMut(NodePlacement)) {
+            self.nodes.iter().for_each(|n| f(n.clone()));
+        }
+        fn visit_wires(&self, f: &mut dyn FnMut(NodeId, NodeId, &[Point3])) {
+            for (u, v, corners) in &self.wires {
+                f(*u, *v, corners);
+            }
+        }
+    }
+
+    /// The text format as `fmt` writes it, record by record: the
+    /// reference the serializer must equal byte for byte.
+    fn reference(src: &Raw) -> String {
+        let mut out = format!("mlvlayout 1\nlayout {} layers={}\n", escape(src.name()), 3);
+        for n in &src.nodes {
+            let r = n.rect;
+            out += &format!(
+                "node {} {} {} {} {} layer={}\n",
+                n.node, r.x0, r.y0, r.x1, r.y1, n.layer
+            );
+        }
+        for (u, v, corners) in &src.wires {
+            out += &format!("wire {u} {v}");
+            let mut prev = None;
+            for &c in corners {
+                if prev != Some(c) {
+                    out += &format!(" {},{},{}", c.x, c.y, c.z);
+                    prev = Some(c);
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Coordinates, layers and node ids at the edges of decimal
+    /// formatting: one digit or two, a sign, and the ends of each type.
+    const COORDS: [i64; 9] = [0, 1, -1, 9, -9, 10, -10, i64::MIN, i64::MAX];
+    const LAYERS: [i32; 6] = [0, 1, -1, -10, i32::MIN, i32::MAX];
+    const IDS: [u32; 5] = [0, 9, 10, u32::MAX - 1, u32::MAX];
+
+    mlv_core::mlv_proptest! {
+        /// The serializer writes what `fmt` writes, for every integer
+        /// the format can hold and with repeated raw corners.
+        #[test]
+        fn serializer_equals_the_fmt_reference(
+            nodes in prop::vec((0usize..5, (0usize..9, 0usize..9), (0usize..9, 0usize..9), 0usize..6), 0..5),
+            wires in prop::vec((0usize..5, 0usize..5, prop::vec((0usize..9, 0usize..9, 0usize..6, 0u8..3), 1..7)), 0..5),
+            wide in (0u64..u64::MAX, 0u64..u64::from(u32::MAX) + 1),
+        ) {
+            let mut src = Raw {
+                nodes: nodes
+                    .iter()
+                    .map(|&(id, (x0, y0), (x1, y1), z)| NodePlacement {
+                        node: IDS[id],
+                        rect: Rect { x0: COORDS[x0], y0: COORDS[y0], x1: COORDS[x1], y1: COORDS[y1] },
+                        layer: LAYERS[z],
+                    })
+                    .collect(),
+                wires: Vec::new(),
+            };
+            for (u, v, picks) in &wires {
+                let mut corners = Vec::new();
+                for &(x, y, z, repeat) in picks {
+                    let c = Point3::new(COORDS[x], COORDS[y], LAYERS[z]);
+                    // a third of the corners come twice in a row
+                    corners.extend(std::iter::repeat_n(c, if repeat == 0 { 2 } else { 1 }));
+                }
+                src.wires.push((IDS[*u], IDS[*v], corners));
+            }
+            // and one record of arbitrary magnitudes, either sign
+            let (x, id) = (wide.0 as i64, wide.1 as u32);
+            src.wires.push((id, id, vec![Point3::new(x, x.wrapping_neg(), -1), Point3::new(x, x, 0)]));
+            mlv_core::prop_assert_eq!(write_layout(&src), reference(&src));
+        }
     }
 
     #[test]

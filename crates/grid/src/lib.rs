@@ -38,6 +38,9 @@ pub mod hasher;
 pub mod io;
 pub mod layout;
 pub mod metrics;
+#[cfg(test)]
+#[path = "../tests/support/naive_checker.rs"]
+mod naive_checker;
 pub mod path;
 pub mod pdk;
 pub mod render;

@@ -20,29 +20,32 @@ use mlv_topology::routing::max_route_cost;
 use mlv_topology::Graph;
 
 /// Aggregated metrics of one layout.
+///
+/// Every `u64` field saturates at `u64::MAX`: a layout whose
+/// coordinates span the whole `i64` range is 2⁶⁴ columns wide.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LayoutMetrics {
-    /// Bounding-box width (grid columns).
+    /// Bounding-box width (grid columns), saturating.
     pub width: u64,
-    /// Bounding-box height (grid rows).
+    /// Bounding-box height (grid rows), saturating.
     pub height: u64,
-    /// `width × height`.
+    /// `width × height`, saturating.
     pub area: u64,
-    /// `layers × area`.
+    /// `layers × area`, saturating.
     pub volume: u64,
     /// Layer budget of the layout.
     pub layers: usize,
     /// Highest layer index actually used (0-based).
     pub max_used_layer: i32,
-    /// Longest wire, planar (x/y) length.
+    /// Longest wire, planar (x/y) length, saturating.
     pub max_wire_planar: u64,
-    /// Longest wire, full length including vias.
+    /// Longest wire, full length including vias, saturating.
     pub max_wire_full: u64,
-    /// Sum of all wire lengths (full).
+    /// Sum of all wire lengths (full), saturating.
     pub total_wire: u64,
     /// Number of wires.
     pub wire_count: usize,
-    /// Number of vias (unit z-steps) across all wires.
+    /// Number of vias (unit z-steps) across all wires, saturating.
     pub via_count: u64,
 }
 
@@ -54,17 +57,18 @@ impl LayoutMetrics {
             Some(bb) => (bb.width(), bb.height()),
             None => (0, 0),
         };
-        let area = width * height;
+        let area = width.saturating_mul(height);
         let (max_wire_planar, max_wire_full, total_wire, via_count) =
-            layout.wires.iter().fold((0, 0, 0, 0), |a, w| {
+            layout.wires.iter().fold((0, 0, 0u64, 0u64), |a, w| {
                 let (planar, full, vias) = w.path.stats();
-                (a.0.max(planar), a.1.max(full), a.2 + full, a.3 + vias)
+                let (total, via_total) = (a.2.saturating_add(full), a.3.saturating_add(vias));
+                (a.0.max(planar), a.1.max(full), total, via_total)
             });
         LayoutMetrics {
             width,
             height,
             area,
-            volume: layout.layers as u64 * area,
+            volume: (layout.layers as u64).saturating_mul(area),
             layers: layout.layers,
             max_used_layer,
             max_wire_planar,
@@ -153,7 +157,7 @@ impl PhysicalMetrics {
                         vias = vias.checked_add(pdk.layer_at(z as usize).via_cost)?;
                     }
                 } else {
-                    let steps = (a.x - b.x).unsigned_abs() + (a.y - b.y).unsigned_abs();
+                    let steps = a.x.abs_diff(b.x).checked_add(a.y.abs_diff(b.y))?;
                     let cost = steps.checked_mul(pdk.layer_at(a.z.max(0) as usize).pitch)?;
                     planar = planar.checked_add(cost)?;
                 }
@@ -180,8 +184,12 @@ impl PhysicalMetrics {
                 ))
             });
         });
+        // unlike `Rect::width`, a span of 2⁶⁴ grid points is an overflow
         let (gw, gh) = match bb {
-            Some(bb) => (bb.width(), bb.height()),
+            Some(bb) => (
+                bb.x1.abs_diff(bb.x0).checked_add(1).ok_or_else(overflow)?,
+                bb.y1.abs_diff(bb.y0).checked_add(1).ok_or_else(overflow)?,
+            ),
             None => (0, 0),
         };
         let width = gw

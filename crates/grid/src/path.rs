@@ -56,9 +56,12 @@ impl WirePath {
         *self.corners.last().unwrap()
     }
 
-    /// Wire length in grid edges (sum of segment lengths, z included).
+    /// Wire length in grid edges (sum of segment lengths, z included),
+    /// saturating at `u64::MAX`.
     pub fn length(&self) -> u64 {
-        self.corners.windows(2).map(|w| w[0].manhattan(&w[1])).sum()
+        self.corners
+            .windows(2)
+            .fold(0u64, |sum, w| sum.saturating_add(w[0].manhattan(&w[1])))
     }
 
     /// Planar wire length (x/y segments only, vias excluded) — the
@@ -81,14 +84,10 @@ impl WirePath {
     }
 
     /// Single-pass `(planar_length, length, via_count)` — one walk of
-    /// the corner windows instead of three, for metric hot paths.
+    /// the corner windows instead of three, for metric hot paths. Each
+    /// saturates at `u64::MAX`.
     pub fn stats(&self) -> (u64, u64, u64) {
-        let (mut planar, mut vias) = (0u64, 0u64);
-        for w in self.corners.windows(2) {
-            planar += w[0].x.abs_diff(w[1].x) + w[0].y.abs_diff(w[1].y);
-            vias += w[0].z.abs_diff(w[1].z) as u64;
-        }
-        (planar, planar + vias, vias)
+        stats_of(&self.corners)
     }
 
     /// Number of bends (corner points where direction changes).
@@ -132,6 +131,21 @@ impl WirePath {
             None => Ok(()),
         }
     }
+}
+
+/// `(planar_length, length, via_count)` of a corner sequence, each
+/// saturating at `u64::MAX`.
+pub(crate) fn stats_of(corners: &[Point3]) -> (u64, u64, u64) {
+    let (mut planar, mut vias) = (0u64, 0u64);
+    for w in corners.windows(2) {
+        let step = w[0]
+            .x
+            .abs_diff(w[1].x)
+            .saturating_add(w[0].y.abs_diff(w[1].y));
+        planar = planar.saturating_add(step);
+        vias = vias.saturating_add(w[0].z.abs_diff(w[1].z) as u64);
+    }
+    (planar, planar.saturating_add(vias), vias)
 }
 
 #[cfg(test)]

@@ -620,7 +620,7 @@ pub(crate) fn holders(runs: &[Run], diagonals: &[(Stretch, u32)], c: Coord, out:
 }
 
 /// Stops at the first meeting.
-struct AnyMeeting;
+pub(crate) struct AnyMeeting;
 
 impl Sink for AnyMeeting {
     fn meet(&mut self, _: Stretch) -> ControlFlow<()> {
@@ -638,7 +638,8 @@ fn any_meeting(path: &[(Run, bool)], scratch: &mut Vec<Run>) -> bool {
 
 /// The first point, in path order, that a wire visits twice. `path`
 /// holds the wire's runs in path order, as [`split`] returns them;
-/// `scratch` is working space.
+/// `scratch` is working space. [`crate::WirePath::validate`] calls it,
+/// and so does the checker, on a layout whose runs meet.
 pub(crate) fn first_revisit(path: &[(Run, bool)], scratch: &mut Vec<Run>) -> Option<Coord> {
     let mut meet = |n: usize| any_meeting(&path[..n], scratch);
     if !meet(path.len()) {

@@ -17,6 +17,7 @@ use crate::geom::{Point3, Rect};
 use crate::hasher::FxBuildHasher;
 use crate::layout::{Layout, NodePlacement};
 use crate::metrics::LayoutMetrics;
+use crate::path::stats_of;
 use crate::runs::{self, Run};
 use mlv_topology::NodeId;
 use std::collections::{BinaryHeap, HashMap};
@@ -334,7 +335,6 @@ pub fn metrics_stream<S: StreamSource + ?Sized>(src: &S) -> LayoutMetrics {
     let (mut max_wire_planar, mut max_wire_full) = (0u64, 0u64);
     let (mut total_wire, mut via_count) = (0u64, 0u64);
     src.visit_wires(&mut |_, _, corners| {
-        let (mut planar, mut vias) = (0u64, 0u64);
         for c in corners {
             match &mut bb {
                 Some(r) => r.expand_to(c.x, c.y),
@@ -342,26 +342,22 @@ pub fn metrics_stream<S: StreamSource + ?Sized>(src: &S) -> LayoutMetrics {
             }
             max_used_layer = max_used_layer.max(c.z);
         }
-        for w in corners.windows(2) {
-            planar += w[0].x.abs_diff(w[1].x) + w[0].y.abs_diff(w[1].y);
-            vias += w[0].z.abs_diff(w[1].z) as u64;
-        }
-        let full = planar + vias;
+        let (planar, full, vias) = stats_of(corners);
         max_wire_planar = max_wire_planar.max(planar);
         max_wire_full = max_wire_full.max(full);
-        total_wire += full;
-        via_count += vias;
+        total_wire = total_wire.saturating_add(full);
+        via_count = via_count.saturating_add(vias);
     });
     let (width, height) = match bb {
         Some(bb) => (bb.width(), bb.height()),
         None => (0, 0),
     };
-    let area = width * height;
+    let area = width.saturating_mul(height);
     LayoutMetrics {
         width,
         height,
         area,
-        volume: src.layers() as u64 * area,
+        volume: (src.layers() as u64).saturating_mul(area),
         layers: src.layers(),
         max_used_layer,
         max_wire_planar,
@@ -373,14 +369,10 @@ pub fn metrics_stream<S: StreamSource + ?Sized>(src: &S) -> LayoutMetrics {
 }
 
 #[cfg(test)]
-#[path = "../tests/support/naive_checker.rs"]
-mod naive_checker;
-
-#[cfg(test)]
 mod tests {
-    use super::naive_checker::naive_check;
     use super::*;
     use crate::checker::{check, CheckReport};
+    use crate::naive_checker::naive_check;
     use crate::path::WirePath;
     use mlv_topology::{Graph, GraphBuilder};
 

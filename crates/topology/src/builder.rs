@@ -47,22 +47,6 @@ impl GraphBuilder {
         self.edges.push((u, v));
     }
 
-    /// Add an edge only if no parallel copy exists yet. Returns `true` if
-    /// the edge was inserted. Useful for families defined by symmetric
-    /// neighbour rules where each edge would otherwise be generated twice.
-    pub fn add_edge_dedup(&mut self, u: NodeId, v: NodeId) -> bool {
-        let key = if u <= v { (u, v) } else { (v, u) };
-        if self
-            .edges
-            .iter()
-            .any(|&(a, b)| (if a <= b { (a, b) } else { (b, a) }) == key)
-        {
-            return false;
-        }
-        self.add_edge(u, v);
-        true
-    }
-
     /// Number of edges added so far.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
@@ -77,15 +61,6 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dedup_add() {
-        let mut b = GraphBuilder::new("t", 3);
-        assert!(b.add_edge_dedup(0, 1));
-        assert!(!b.add_edge_dedup(1, 0));
-        assert!(b.add_edge_dedup(1, 2));
-        assert_eq!(b.edge_count(), 2);
-    }
 
     #[test]
     #[should_panic]

@@ -43,16 +43,20 @@ impl KaryNCube {
         let nn = addr.cardinality();
         let kind = if wraparound { "cube" } else { "mesh" };
         let mut b = GraphBuilder::new(format!("{k}-ary {n}-{kind}"), nn);
+        // the place value k^j of digit j: raising the digit by one adds it
+        let places: Vec<usize> = std::iter::successors(Some(1usize), |p| p.checked_mul(k))
+            .take(n)
+            .collect();
         for i in 0..nn {
-            for j in 0..n {
-                let d = addr.digit(i, j);
+            for &place in &places {
+                let d = i / place % k;
                 // Generate each link once, from its lower-digit endpoint.
                 if d + 1 < k {
-                    b.add_edge(i as u32, addr.with_digit(i, j, d + 1) as u32);
+                    b.add_edge(i as u32, (i + place) as u32);
                 }
                 if wraparound && d == k - 1 && k >= 3 {
                     // wrap link (k-1) -> 0
-                    b.add_edge(i as u32, addr.with_digit(i, j, 0) as u32);
+                    b.add_edge(i as u32, (i - (k - 1) * place) as u32);
                 }
             }
         }
@@ -97,6 +101,43 @@ mod tests {
         assert_eq!(t.graph.edge_count(), 2 * 9);
         let t = KaryNCube::torus(4, 3);
         assert_eq!(t.graph.edge_count(), 3 * 64);
+    }
+
+    /// The links of `KaryNCube::build` from digit vectors: each node's
+    /// dimension-`j` neighbours by raising digit `j`, or wrapping it to 0.
+    fn links_by_digits(k: usize, n: usize, wraparound: bool) -> Vec<(u32, u32)> {
+        let addr = MixedRadix::fixed(k, n);
+        let mut links = Vec::new();
+        for i in addr.indices() {
+            let digits = addr.digits_of(i);
+            for j in 0..n {
+                let mut to = digits.clone();
+                if digits[j] + 1 < k {
+                    to[j] = digits[j] + 1;
+                    links.push((i as u32, addr.index_of(&to) as u32));
+                }
+                if wraparound && digits[j] == k - 1 && k >= 3 {
+                    to[j] = 0;
+                    links.push((i as u32, addr.index_of(&to) as u32));
+                }
+            }
+        }
+        links
+    }
+
+    #[test]
+    fn links_in_the_order_and_ids_of_digit_vectors() {
+        for k in 3..=6 {
+            for n in 1..=4 {
+                for (g, wrap) in [
+                    (KaryNCube::torus(k, n).graph, true),
+                    (KaryNCube::mesh(k, n).graph, false),
+                ] {
+                    let links: Vec<(u32, u32)> = g.edge_ids().map(|e| g.endpoints(e)).collect();
+                    assert_eq!(links, links_by_digits(k, n, wrap), "k = {k}, n = {n}");
+                }
+            }
+        }
     }
 
     #[test]

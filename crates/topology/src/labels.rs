@@ -81,12 +81,18 @@ impl MixedRadix {
         index
     }
 
-    /// The index obtained from `index` by setting digit `j` to `value`.
+    /// The index obtained from `index` by setting digit `j` to `value`:
+    /// the digit's old value times its place value is replaced by the
+    /// new one, without materializing the digit vector.
+    ///
+    /// # Panics
+    /// If `index >= cardinality()` or `value` is out of range.
     pub fn with_digit(&self, index: usize, j: usize, value: usize) -> usize {
-        let mut d = self.digits_of(index);
+        assert!(index < self.cardinality(), "index out of range");
         assert!(value < self.radices[j], "digit value out of range");
-        d[j] = value;
-        self.index_of(&d)
+        let place: usize = self.radices[..j].iter().product();
+        let old = index / place % self.radices[j];
+        index - old * place + value * place
     }
 
     /// Digit `j` of `index` without materializing the whole vector.
@@ -170,6 +176,20 @@ mod tests {
         let i = mr.index_of(&[1, 2, 3]);
         let j = mr.with_digit(i, 1, 0);
         assert_eq!(mr.digits_of(j), vec![1, 0, 3]);
+    }
+
+    #[test]
+    fn with_digit_matches_digit_vectors() {
+        let mr = MixedRadix::new(vec![4, 2, 3, 5]);
+        for i in mr.indices() {
+            for j in 0..mr.digit_count() {
+                for value in 0..mr.radix(j) {
+                    let mut d = mr.digits_of(i);
+                    d[j] = value;
+                    assert_eq!(mr.with_digit(i, j, value), mr.index_of(&d));
+                }
+            }
+        }
     }
 
     #[test]
