@@ -1,12 +1,12 @@
 //! # mlv-bench
 //!
 //! The evaluation harness: everything needed to regenerate the paper's
-//! tables and figures from *measured*, checker-verified layouts.
+//! tables from *measured*, checker-verified layouts.
 //!
 //! Each `src/bin/table_*.rs` binary reproduces one experiment of the
 //! index in `DESIGN.md` (and `EXPERIMENTS.md` records the outcomes);
-//! the `mlv_core::bench` micro-benches in `benches/` measure
-//! construction and checking throughput. This library holds the shared plumbing:
+//! `tests/tables.rs` pins their output. `src/bin/benchmark/` is the
+//! repository benchmark. This library holds the tables' shared plumbing:
 //! measuring a family at a layer count, formatting comparison tables,
 //! and the measured-vs-predicted ratio helpers.
 

@@ -6,7 +6,7 @@
 //! mlv layout hypercube:8 --layers 4 [options]   build + report one layout
 //! mlv sweep karyn:8,2 --layers 2,4,8,16         engine batch, JSON per job
 //! mlv sweep --lattice --cases 8                 full registry lattice
-//! mlv figures [f1|f2|f3|f4]                     the paper's figures
+//! mlv figures [f1|f2|f3|f4|folded|layout]       the paper's figures
 //! ```
 //!
 //! `mlv layout` options:
@@ -249,7 +249,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     it.next()
                         .ok_or("--cases needs a value")?
                         .parse()
-                        .map_err(|_| "--cases needs a positive integer")?,
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or("--cases needs a positive integer")?,
                 )
             }
             "--trace" => f.trace = Some(it.next().ok_or("--trace needs a path")?.clone()),
@@ -494,7 +496,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             .seed
             .or_else(|| std::env::var("MLV_SEED").ok()?.parse().ok())
             .unwrap_or(2000);
-        let cases = flags.cases.unwrap_or(8).max(1);
+        let cases = flags.cases.unwrap_or(8);
         match &pdk {
             Some(p) => eprintln!(
                 "sweep: lattice seed={seed} cases/family={cases} pdk={}",
@@ -890,15 +892,24 @@ fn cmd_conformance(args: &[String]) -> ExitCode {
     }
 }
 
+/// `mlv figures [id]`: the paper's figures F1–F4 (all four with no id),
+/// §3.1's folded ring (`folded`) or a realized 3-cube by layer (`layout`).
 fn cmd_figures(args: &[String]) -> ExitCode {
     use mlv_collinear::complete::complete_collinear;
+    use mlv_collinear::folded::fold_outer_groups;
     use mlv_collinear::hypercube::hypercube_collinear;
     use mlv_collinear::karyn::kary_collinear;
     use mlv_collinear::render::render_tracks;
-    use mlv_grid::render::render_block_grid;
+    use mlv_grid::render::{render_block_grid, render_layer, render_top};
     use mlv_layout::scheme::figure1_labels;
 
-    let which = args.first().map(String::as_str).unwrap_or("");
+    const IDS: [&str; 6] = ["f1", "f2", "f3", "f4", "folded", "layout"];
+    let which = match args {
+        [] => "",
+        [id] if IDS.contains(&id.as_str()) => id.as_str(),
+        [id] => return fail(format!("unknown figure '{id}'; choose from {IDS:?}")),
+        _ => return fail("`mlv figures` takes at most one figure id"),
+    };
     let all = which.is_empty();
     if all || which == "f1" {
         println!("Figure 1 — recursive grid layout scheme:\n");
@@ -921,6 +932,25 @@ fn cmd_figures(args: &[String]) -> ExitCode {
         let l = hypercube_collinear(4);
         println!("Figure 4 — collinear 4-cube ({} tracks):\n", l.tracks());
         println!("{}", render_tracks(&l, None));
+    }
+    if which == "folded" {
+        let plain = kary_collinear(8, 1);
+        let folded = fold_outer_groups(&plain, 8);
+        println!("Folding an 8-ring (§3.1) — the wrap link shrinks:\n");
+        for (order, l) in [("plain", &plain), ("folded", &folded)] {
+            let tracks = render_tracks(l, None);
+            println!("{order} order (max span {}):\n{tracks}", l.max_span());
+        }
+    }
+    if which == "layout" {
+        let layout = mlv_layout::families::hypercube(3).realize(4);
+        println!(
+            "Realized 3-cube at L=4 — top view:\n\n{}",
+            render_top(&layout)
+        );
+        for z in 0..4 {
+            println!("layer z={z}:\n{}", render_layer(&layout, z));
+        }
     }
     ExitCode::SUCCESS
 }

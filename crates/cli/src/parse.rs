@@ -6,22 +6,23 @@
 //! module is a thin delegate.
 
 use mlv_layout::families::Family;
-use mlv_layout::registry;
+use mlv_layout::{registry, MAX_LAYERS};
 
 /// Parse a family spec. Returns a readable error for anything invalid.
 pub fn parse_family(spec: &str) -> Result<Family, String> {
     registry::parse(spec)
 }
 
-/// Parse a comma-separated layer list, e.g. `"2,4,8"`.
+/// Parse a comma-separated layer list, e.g. `"2,4,8"`. Each count must
+/// lie in `2..=MAX_LAYERS`, the bound `mlv serve` applies too.
 pub fn parse_layers(s: &str) -> Result<Vec<usize>, String> {
     s.split(',')
         .map(|t| {
             t.trim()
                 .parse::<usize>()
                 .ok()
-                .filter(|&l| l >= 2)
-                .ok_or_else(|| format!("bad layer count '{t}' (need integers >= 2)"))
+                .filter(|l| (2..=MAX_LAYERS).contains(l))
+                .ok_or_else(|| format!("bad layer count '{t}' (need integers in 2..={MAX_LAYERS})"))
         })
         .collect()
 }

@@ -225,8 +225,9 @@ fn bad_active_layers_are_an_error() {
     }
 }
 
-/// Degenerate or oversized family parameters are a clean error
-/// (exit 1), never a panic.
+/// Degenerate or oversized family parameters, layer counts and case
+/// counts are a clean error (exit 1), never a panic, an abort or a
+/// silent default.
 #[test]
 fn out_of_domain_families_are_an_error() {
     for (spec, needle) in [
@@ -237,6 +238,33 @@ fn out_of_domain_families_are_an_error() {
     ] {
         assert_error(&["layout", spec, "--layers", "4"], needle);
     }
+    // `mlv serve` applies the same bound
+    for args in [
+        &["layout", "hypercube:4", "--layers", "1025"][..],
+        &["layout", "hypercube:4", "--layers", "1000000000", "--tiled"][..],
+        &["layout", "hypercube:4", "--layers", "99999999999"][..],
+        &["sweep", "hypercube:4", "--layers", "2,1025"][..],
+    ] {
+        assert_error(args, "in 2..=1024");
+    }
+    assert_error(&["sweep", "--lattice", "--cases", "0"], "positive integer");
+}
+
+/// `mlv figures` prints every figure its help names, all four of the
+/// paper's with no id, and rejects an unknown id.
+#[test]
+fn figures_print_every_advertised_id() {
+    let print = |args: &[&str]| {
+        let out = mlv(args);
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let paper = ["f1", "f2", "f3", "f4"].map(|id| print(&["figures", id]));
+    assert_eq!(print(&["figures"]), paper.concat());
+    for id in ["folded", "layout"] {
+        assert!(!print(&["figures", id]).is_empty(), "{id}");
+    }
+    assert_error(&["figures", "f9"], "unknown figure 'f9'");
 }
 
 /// Assert `mlv <args>` fails with exit 1, an `error: ` line naming

@@ -17,8 +17,6 @@
 //!   [`mlv_proptest!`](crate::mlv_proptest) macro: generator values from
 //!   ranges/tuples/`vec`, configurable case counts, shrink-free failure
 //!   reports that print the generated inputs and the case seed;
-//! * [`mod@bench`] — a wall-clock micro-bench harness (warmup + calibration
-//!   + median-of-N, one JSON line per benchmark) replacing criterion;
 //! * [`queue`] — a bounded FIFO with reject-don't-buffer backpressure
 //!   (non-blocking producers, blocking consumers), the admission
 //!   control primitive behind `mlv serve`'s per-connection queues;
@@ -36,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod exec;
 pub mod fnv;
 pub mod prop;

@@ -3,9 +3,9 @@
 //! across `exec` worker threads, or collected chunk-wise and merged —
 //! and an enclosing span's total always covers its children.
 
-use mlv_core::bench::black_box;
 use mlv_core::trace::{self, Aggregate, Trace};
 use mlv_core::{exec, mlv_proptest, prop, prop_assert, prop_assert_eq};
+use std::hint::black_box;
 
 const NAMES: [&str; 4] = ["tree.a", "tree.b", "tree.c", "tree.d"];
 

@@ -5,15 +5,33 @@
 
 use crate::hasher::FxBuildHasher;
 use crate::layout::Layout;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// Wire points per layer, indexed by `z` (length = layers).
+/// Wire points per layer, indexed by `z` (length = layers): the points
+/// [`WirePath::points`](crate::path::WirePath::points) yields, counted
+/// per segment rather than walked. A planar segment adds its length to
+/// its own layer; a via adds one point to each layer it steps onto. So
+/// the cost is at most `L` per segment, however long the wires are.
 pub fn layer_usage(layout: &Layout) -> Vec<u64> {
+    let top = layout.layers as i64 - 1;
     let mut usage = vec![0u64; layout.layers];
+    let mut add = |lo: i64, hi: i64, n: u64| {
+        for z in lo.max(0)..=hi.min(top) {
+            usage[z as usize] = usage[z as usize].saturating_add(n);
+        }
+    };
     for w in &layout.wires {
-        for p in w.path.points() {
-            if (p.z as usize) < usage.len() {
-                usage[p.z as usize] += 1;
+        let corners = w.path.corners();
+        add(corners[0].z.into(), corners[0].z.into(), 1);
+        for s in corners.windows(2) {
+            let (a, b, z) = (s[0], s[1], i64::from(s[0].z));
+            let steps = a.manhattan(&b);
+            let reach = i64::try_from(steps).unwrap_or(i64::MAX);
+            match b.z.cmp(&a.z) {
+                Ordering::Equal => add(z, z, steps),
+                Ordering::Greater => add(z + 1, z.saturating_add(reach), 1),
+                Ordering::Less => add(z.saturating_sub(reach), z - 1, 1),
             }
         }
     }

@@ -6,6 +6,7 @@ mod naive_checker;
 
 use mlv_core::prop;
 use mlv_core::{mlv_proptest, prop_assert, prop_assert_eq};
+use mlv_grid::analytics;
 use mlv_grid::checker::{check, CheckError, CheckReport};
 use mlv_grid::fold::FoldedEstimate;
 use mlv_grid::geom::{Point3, Rect};
@@ -114,7 +115,33 @@ fn hostile_small_layout(
     l
 }
 
+/// The point walk [`analytics::layer_usage`] replaced: every point of
+/// every wire, counted on its layer.
+fn layer_usage_by_points(l: &Layout) -> Vec<u64> {
+    let mut usage = vec![0u64; l.layers];
+    for p in l.wires.iter().flat_map(|w| w.path.points()) {
+        if let Some(u) = usage.get_mut(p.z as usize) {
+            *u += 1;
+        }
+    }
+    usage
+}
+
 mlv_proptest! {
+    /// Counting layer usage per segment gives the point walk's counts
+    /// on random axis-aligned paths, layers out of range included.
+    #[test]
+    fn layer_usage_equals_point_walk(
+        layers in 1usize..6,
+        paths in prop::vec(((-3i64..4, -3i64..4, -1i32..7), prop::vec((0u8..3, -6i64..7), 0..8)), 0..6),
+    ) {
+        let mut l = Layout::new("usage", layers);
+        for (start, steps) in &paths {
+            l.add_wire(0, 1, path_from_steps(*start, steps));
+        }
+        prop_assert_eq!(analytics::layer_usage(&l), layer_usage_by_points(&l));
+    }
+
     /// The run-based checker reports exactly what the naive point-set
     /// reference reports — errors, their order, the cap and the point
     /// totals — on random small hostile layouts, with and without a

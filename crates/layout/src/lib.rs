@@ -53,6 +53,12 @@ pub mod scheme;
 pub mod spec;
 pub mod tiled;
 
+/// The largest wiring-layer count a command or a served request may
+/// ask for. Layer-indexed buffers and per-slab direction tables are
+/// sized by the layer count before any wire is placed, so an unbounded
+/// count is unbounded memory.
+pub const MAX_LAYERS: usize = 1024;
+
 pub use realize::{realize, RealizeOptions};
 pub use spec::{ColWire, JogWire, OrthogonalSpec, RowWire};
 pub use tiled::{realize_tiled, realize_tiled_3d, TileInstance, TileShape, TiledLayout};

@@ -480,15 +480,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_walk_matches_materialized_layout() {
-        let fam = families::hsn(2, 4);
+    /// At L = 4, the tile walk's metrics and report equal the materialized
+    /// layout's, and the report equals the naive point-set checker's.
+    fn assert_walk_matches_materialized(fam: &families::Family) {
         let tiled = realize_tiled(&fam.spec, &RealizeOptions::with_layers(4));
         let flat = tiled.materialize();
         assert_eq!(metrics_stream(&tiled), LayoutMetrics::of(&flat));
         let report = check(&tiled, Some(&fam.graph));
-        assert!(report.is_legal(), "{:?}", report.errors);
+        assert!(report.is_legal(), "{}: {:?}", fam.spec.name, report.errors);
         assert_eq!(report, naive_check(&flat, Some(&fam.graph)));
+    }
+
+    #[test]
+    fn streaming_walk_matches_materialized_layout() {
+        for fam in [
+            families::hsn(2, 4),
+            families::hypercube(10),
+            families::karyn_cube(4, 5, false),
+        ] {
+            assert_walk_matches_materialized(&fam);
+        }
+    }
+
+    /// The same differential at 2¹² nodes: ~30 s each in a debug build,
+    /// so CI runs it by name in release with `--ignored`.
+    #[test]
+    #[ignore]
+    fn streaming_walk_matches_materialized_layout_at_4096_nodes() {
+        for fam in [families::hypercube(12), families::karyn_cube(4, 6, false)] {
+            assert_walk_matches_materialized(&fam);
+        }
     }
 
     #[test]

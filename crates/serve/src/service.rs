@@ -30,7 +30,7 @@ use mlv_core::trace::Trace;
 use mlv_grid::io::json_escape;
 use mlv_grid::pdk::{read_pdk, Pdk};
 use mlv_layout::engine::{lattice_jobs_with_pdk, CheckStatus, Engine, EngineOptions, Job};
-use mlv_layout::registry;
+use mlv_layout::{registry, MAX_LAYERS};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -67,8 +67,6 @@ impl Default for ServeConfig {
 /// Hard cap on `cases` per `sweep-shard` request: work per request
 /// stays bounded no matter what a client asks for.
 const MAX_SWEEP_CASES: usize = 64;
-/// Hard cap on a request's layer budget.
-const MAX_LAYERS: usize = 1024;
 /// Hard cap on a served stack's track pitch. Pitches stretch layout
 /// coordinates multiplicatively during geometry emission, so an
 /// `i64::MAX`-ish pitch from a hostile `pdk_text` would overflow the

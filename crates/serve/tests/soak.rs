@@ -6,7 +6,8 @@
 //! after the abuse.
 //!
 //! Kept time-boxed (a few seconds) so CI can run it on every push; the
-//! `bench_serve` load generator is the place for longer runs.
+//! repository benchmark's `serve-open` workload is the place for
+//! sustained load and latency.
 
 use mlv_serve::{listen, ServeConfig, Service};
 use std::io::{BufRead, BufReader, Write};
