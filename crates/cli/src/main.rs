@@ -7,6 +7,7 @@
 //! mlv sweep karyn:8,2 --layers 2,4,8,16         engine batch, JSON per job
 //! mlv sweep --lattice --cases 8                 full registry lattice
 //! mlv figures [f1|f2|f3|f4|folded|layout]       the paper's figures
+//! mlv tables [<id>]                             measured vs paper tables
 //! ```
 //!
 //! `mlv layout` options:
@@ -14,9 +15,27 @@
 //! routed wire length), `--node-side S`, `--active-layers LA` (3-D
 //! model), `--svg PATH`, `--save PATH` (text format, reloadable with
 //! `mlv check`), `--ascii`, `--json` (machine-readable report).
+//!
+//! Every command prints through [`write_stdout`], so `mlv … | head`
+//! ends quietly once the reader has what it wants.
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
 
 mod parse;
 mod report;
+mod tables;
 
 use mlv_grid::checker;
 use mlv_grid::io::write_layout;
@@ -29,28 +48,51 @@ use mlv_layout::realize3d::Realize3dOptions;
 use mlv_layout::{realize_tiled, realize_tiled_3d, registry, TiledLayout};
 use parse::{parse_family, parse_layers};
 use report::Report;
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let code = match args.first().map(String::as_str) {
         Some("families") => cmd_families(&args[1..]),
         Some("layout") => cmd_layout(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("figures") => cmd_figures(&args[1..]),
+        Some("tables") => cmd_tables(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("conformance") => cmd_conformance(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            print!("{}", HELP);
+            out!("{}", HELP);
             ExitCode::SUCCESS
         }
         Some(other) => {
             eprintln!("unknown command '{other}'\n\n{HELP}");
             ExitCode::FAILURE
         }
+    };
+    if let Err(e) = std::io::stdout().flush() {
+        stdout_failed(e);
     }
+    code
+}
+
+/// Write to stdout, the one way every command prints. A reader that
+/// closed the pipe early ends the process quietly with exit 0; any
+/// other write error is `error: …`, exit 1.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        stdout_failed(e);
+    }
+}
+
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: writing stdout: {e}");
+    std::process::exit(1);
 }
 
 const HELP: &str = "\
@@ -72,6 +114,7 @@ USAGE:
              [--max-connections <n>] [--cache-capacity <n>]
              [--pdk uniform|hv6|@file.pdk]
   mlv figures [f1|f2|f3|f4|folded|layout]
+  mlv tables [<id>]
   mlv conformance [--seed <u64>] [--cases <n>] [--families a,b,...]
                   [--no-inject] [--pdk-axis]
 
@@ -83,6 +126,7 @@ EXAMPLES:
   mlv sweep --lattice --seed 2000 --cases 8 --trace sweep.trace
   mlv profile hypercube 6 --layers 4
   mlv conformance --seed 2000 --cases 12 --pdk-axis
+  mlv tables hypercube
   mlv serve --stdio
   mlv serve --listen 127.0.0.1:7171 --max-connections 8
 
@@ -103,6 +147,13 @@ plus one instance record per wire. `--check`, the metrics and `--save`
 walk the tile instances. `--tiled` prints the streaming report, which
 never builds the flat grid; the full report's analytics, `--svg`,
 `--ascii` and `--routed` materialize it.
+
+`mlv tables` prints the tables that compare measured layouts with the
+paper's closed forms, all of them or the one named: model_comparison,
+karyncube, hypercube, genhyper, butterfly, hsn_isn, ccc,
+folded_enhanced, clusterc, lower_bounds, mesh, cayley, routing,
+congestion, 3d. Every measured row is a checked engine job; an illegal
+layout ends the run with an error naming it.
 
 `mlv profile` realizes one family through the engine under a trace
 and prints the trace to stdout: per-pass pipeline spans, engine and
@@ -148,7 +199,7 @@ fn cmd_families(args: &[String]) -> ExitCode {
     if json {
         // one object per line, mirroring the conformance report style
         for e in registry::REGISTRY {
-            println!(
+            outln!(
                 "{{\"name\":\"{}\",\"keyword\":\"{}\",\"spec\":\"{}\",\"description\":\"{}\",\"example\":\"{}\",\"lattice\":{}}}",
                 e.name,
                 e.keyword,
@@ -159,9 +210,9 @@ fn cmd_families(args: &[String]) -> ExitCode {
             );
         }
     } else {
-        println!("family specs (use with `mlv layout <spec> ...`):\n");
+        outln!("family specs (use with `mlv layout <spec> ...`):\n");
         for e in registry::REGISTRY {
-            println!("  {:<42} {}", e.grammar, e.description);
+            outln!("  {:<42} {}", e.grammar, e.description);
         }
     }
     ExitCode::SUCCESS
@@ -392,12 +443,12 @@ fn cmd_layout(args: &[String]) -> ExitCode {
             rep.routed = LayoutMetrics::max_routed_path(&layout, &family.graph);
         }
         if flags.json {
-            print!("{}", rep.json());
+            out!("{}", rep.json());
         } else {
-            print!("{}", rep.text());
+            out!("{}", rep.text());
         }
         if flags.ascii {
-            println!("\n{}", mlv_grid::render::render_top(&layout));
+            outln!("\n{}", mlv_grid::render::render_top(&layout));
         }
         Some(layout)
     };
@@ -429,7 +480,7 @@ fn cmd_layout(args: &[String]) -> ExitCode {
 /// metrics and the tiled IR's own digest.
 fn print_tiled_report(tiled: &TiledLayout, m: &LayoutMetrics, legal: Option<bool>, json: bool) {
     if json {
-        println!(
+        outln!(
             "{{\"name\":\"{}\",\"layers\":{},\"nodes\":{},\"wires\":{},\"tiles\":{},\"digest\":\"{:#018x}\",\"width\":{},\"height\":{},\"area\":{},\"volume\":{},\"max_wire\":{},\"vias\":{}{}}}",
             tiled.name,
             tiled.layers,
@@ -449,25 +500,30 @@ fn print_tiled_report(tiled: &TiledLayout, m: &LayoutMetrics, legal: Option<bool
             }
         );
     } else {
-        println!("{}", tiled.name);
-        println!(
+        outln!("{}", tiled.name);
+        outln!(
             "  tiled IR: {} tile shapes, {} instances",
             tiled.tiles.len(),
             tiled.instances.len()
         );
-        println!(
+        outln!(
             "  nodes {}  wires {}  layers {}",
             tiled.node_count(),
             tiled.wire_count(),
             tiled.layers
         );
-        println!(
+        outln!(
             "  streaming metrics: {}x{} area {} volume {} max-wire {} vias {}",
-            m.width, m.height, m.area, m.volume, m.max_wire_full, m.via_count
+            m.width,
+            m.height,
+            m.area,
+            m.volume,
+            m.max_wire_full,
+            m.via_count
         );
-        println!("  tiled digest {:#018x}", tiled.digest());
+        outln!("  tiled digest {:#018x}", tiled.digest());
         if let Some(ok) = legal {
-            println!("  legality: {}", if ok { "VERIFIED" } else { "FAILED" });
+            outln!("  legality: {}", if ok { "VERIFIED" } else { "FAILED" });
         }
     }
 }
@@ -552,7 +608,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             illegal += 1;
             eprintln!("ILLEGAL [{}]: {why}", r.label);
         }
-        println!("{}", r.json_line());
+        outln!("{}", r.json_line());
     }
     eprintln!(
         "sweep: {} jobs in {:.1} ms — cache hits={} misses={} evictions={}",
@@ -638,7 +694,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     let report = trace.collect(|| engine.run(&jobs));
     let elapsed = clock.elapsed();
     let agg = trace.aggregate();
-    print!("{}", trace_document(&agg));
+    out!("{}", trace_document(&agg));
     let mut illegal = false;
     for r in &report.results {
         if let CheckStatus::Illegal(why) = &r.outcome.check {
@@ -697,7 +753,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         None => checker::check(&layout, None),
     };
     let m = LayoutMetrics::of(&layout);
-    println!(
+    outln!(
         "{}: {} nodes, {} wires, area {}, layers {}",
         layout.name,
         layout.nodes.len(),
@@ -707,20 +763,25 @@ fn cmd_check(args: &[String]) -> ExitCode {
     );
     if let Some(p) = &pdk {
         match PhysicalMetrics::of(&layout, p) {
-            Ok(ph) => println!(
+            Ok(ph) => outln!(
                 "physical [{}]: area {} ({} x {}), wirelength {} (vias {})",
-                ph.pdk, ph.area, ph.width, ph.height, ph.wirelength, ph.via_cost
+                ph.pdk,
+                ph.area,
+                ph.width,
+                ph.height,
+                ph.wirelength,
+                ph.via_cost
             ),
-            Err(e) => println!("physical: unavailable ({e})"),
+            Err(e) => outln!("physical: unavailable ({e})"),
         }
     }
     if r.is_legal() {
-        println!("legality: VERIFIED");
+        outln!("legality: VERIFIED");
         ExitCode::SUCCESS
     } else {
-        println!("legality: FAILED ({} error(s))", r.errors.len());
+        outln!("legality: FAILED ({} error(s))", r.errors.len());
         for e in r.errors.iter().take(5) {
-            println!("  {e:?}");
+            outln!("  {e:?}");
         }
         ExitCode::FAILURE
     }
@@ -869,7 +930,7 @@ fn cmd_conformance(args: &[String]) -> ExitCode {
     );
     let report = mlv_conformance::run(&config);
     for r in &report.results {
-        println!("{}", r.json_line());
+        outln!("{}", r.json_line());
     }
     if !report.uncovered_kinds().is_empty() {
         eprintln!(
@@ -889,6 +950,22 @@ fn cmd_conformance(args: &[String]) -> ExitCode {
             report.seed
         );
         ExitCode::FAILURE
+    }
+}
+
+/// `mlv tables [id]`: every table, or the one named
+/// ([`tables::TABLES`]).
+fn cmd_tables(args: &[String]) -> ExitCode {
+    let ids = tables::TABLES.map(|(id, _)| id);
+    let id = match args {
+        [] => None,
+        [id] if ids.contains(&id.as_str()) => Some(id.as_str()),
+        [id] => return fail(format!("unknown table '{id}'; choose from {ids:?}")),
+        _ => return fail("`mlv tables` takes at most one table id"),
+    };
+    match tables::print(id) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(e),
     }
 }
 
@@ -912,44 +989,44 @@ fn cmd_figures(args: &[String]) -> ExitCode {
     };
     let all = which.is_empty();
     if all || which == "f1" {
-        println!("Figure 1 — recursive grid layout scheme:\n");
-        println!("{}", render_block_grid(&figure1_labels(3, 4), 7, 3));
+        outln!("Figure 1 — recursive grid layout scheme:\n");
+        outln!("{}", render_block_grid(&figure1_labels(3, 4), 7, 3));
     }
     if all || which == "f2" {
         let l = kary_collinear(3, 2);
-        println!(
+        outln!(
             "Figure 2 — collinear 3-ary 2-cube ({} tracks):\n",
             l.tracks()
         );
-        println!("{}", render_tracks(&l, None));
+        outln!("{}", render_tracks(&l, None));
     }
     if all || which == "f3" {
         let l = complete_collinear(9);
-        println!("Figure 3 — collinear K9 ({} tracks):\n", l.tracks());
-        println!("{}", render_tracks(&l, None));
+        outln!("Figure 3 — collinear K9 ({} tracks):\n", l.tracks());
+        outln!("{}", render_tracks(&l, None));
     }
     if all || which == "f4" {
         let l = hypercube_collinear(4);
-        println!("Figure 4 — collinear 4-cube ({} tracks):\n", l.tracks());
-        println!("{}", render_tracks(&l, None));
+        outln!("Figure 4 — collinear 4-cube ({} tracks):\n", l.tracks());
+        outln!("{}", render_tracks(&l, None));
     }
     if which == "folded" {
         let plain = kary_collinear(8, 1);
         let folded = fold_outer_groups(&plain, 8);
-        println!("Folding an 8-ring (§3.1) — the wrap link shrinks:\n");
+        outln!("Folding an 8-ring (§3.1) — the wrap link shrinks:\n");
         for (order, l) in [("plain", &plain), ("folded", &folded)] {
             let tracks = render_tracks(l, None);
-            println!("{order} order (max span {}):\n{tracks}", l.max_span());
+            outln!("{order} order (max span {}):\n{tracks}", l.max_span());
         }
     }
     if which == "layout" {
         let layout = mlv_layout::families::hypercube(3).realize(4);
-        println!(
+        outln!(
             "Realized 3-cube at L=4 — top view:\n\n{}",
             render_top(&layout)
         );
         for z in 0..4 {
-            println!("layer z={z}:\n{}", render_layer(&layout, z));
+            outln!("layer z={z}:\n{}", render_layer(&layout, z));
         }
     }
     ExitCode::SUCCESS

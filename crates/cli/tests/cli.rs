@@ -267,6 +267,37 @@ fn figures_print_every_advertised_id() {
     assert_error(&["figures", "f9"], "unknown figure 'f9'");
 }
 
+/// `mlv tables` rejects an unknown id and a second id before it
+/// measures anything.
+#[test]
+fn tables_reject_an_unknown_or_second_id() {
+    assert_error(&["tables", "f9"], "unknown table 'f9'");
+    assert_error(&["tables", "hypercube", "mesh"], "at most one table id");
+}
+
+/// A reader that stops early (`mlv … | head`) ends `mlv` quietly: exit
+/// 0 and nothing on stderr. The ASCII render is ~300 KB, more than a
+/// pipe holds, so `mlv` is still writing when the reader leaves.
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    use std::io::BufRead;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mlv"))
+        .args(["layout", "hypercube:10", "--layers", "4", "--ascii"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn mlv");
+    let mut line = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.starts_with("layout"), "{line}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
 /// Assert `mlv <args>` fails with exit 1, an `error: ` line naming
 /// `needle`, and no report.
 fn assert_error(args: &[&str], needle: &str) {

@@ -3,6 +3,7 @@
 //! cuts are, and the wire-length distribution. Used by the ablation
 //! tables and handy when tuning a construction.
 
+use crate::geom::Rect;
 use crate::hasher::FxBuildHasher;
 use crate::layout::Layout;
 use std::cmp::Ordering;
@@ -128,13 +129,15 @@ pub fn wire_length_stats(layout: &Layout) -> (f64, u64, u64, u64) {
 /// Fraction of the bounding area covered by node footprints — the
 /// "footprint floor" that dilutes the paper's constants at small N.
 /// Exceeds 1.0 in multilayer 3-D layouts where nodes stack over the
-/// same planar positions.
+/// same planar positions. Areas are taken in `f64`, so footprints too
+/// large for a `u64` area still give their fraction.
 pub fn footprint_fraction(layout: &Layout) -> f64 {
     let Some(bb) = layout.bounding_box() else {
         return 0.0;
     };
-    let nodes: u64 = layout.nodes.iter().map(|n| n.rect.point_count()).sum();
-    nodes as f64 / (bb.width() * bb.height()) as f64
+    let area = |r: &Rect| r.width() as f64 * r.height() as f64;
+    let nodes: f64 = layout.nodes.iter().map(|n| area(&n.rect)).sum();
+    nodes / area(&bb)
 }
 
 #[cfg(test)]
@@ -158,6 +161,16 @@ mod tests {
             WirePath::new(vec![p(0, 1, 0), p(0, 1, 1), p(9, 1, 1), p(9, 1, 0)]),
         );
         l
+    }
+
+    #[test]
+    fn footprint_fraction_of_nodes_past_a_u64_area() {
+        // each node covers 10^24 points, past u64::MAX (~1.8 * 10^19)
+        let side = 1_000_000_000_000i64;
+        let mut l = Layout::new("huge", 2);
+        l.place_node(0, Rect::new(0, 0, side - 1, side - 1));
+        l.place_node(1, Rect::new(side, 0, 2 * side - 1, side - 1));
+        assert_eq!(footprint_fraction(&l), 1.0);
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub fn karyn_mesh(k: usize, n: usize) -> Family {
 /// `lo`-cube (columns) and an `(n−lo)`-cube (rows). The paper's
 /// `⌈n/2⌉/⌊n/2⌋` split is the area-optimal choice; other splits trade
 /// aspect ratio for area (measured in the split ablation of
-/// `table_hypercube`).
+/// `mlv tables hypercube`).
 pub fn hypercube_with_split(n: usize, lo: usize) -> Family {
     assert!(n >= 1 && lo <= n);
     let graph = mlv_topology::hypercube::hypercube(n);

@@ -1,10 +1,10 @@
 //! Integration: the multilayer 3-D grid model realizer against the 2-D
 //! scheme, across families, plus save/load round trips of full layouts.
 
-use mlv_bench::measure;
 use mlv_grid::checker;
 use mlv_grid::io::{read_layout, write_layout};
 use mlv_grid::metrics::LayoutMetrics;
+use mlv_layout::engine::{CheckStatus, Engine, EngineOptions, Job};
 use mlv_layout::families;
 use mlv_layout::realize3d::{realize_3d, Realize3dOptions};
 
@@ -106,8 +106,9 @@ fn three_d_layout_round_trips() {
 #[test]
 fn two_d_layout_round_trips() {
     let fam = families::hypercube(5);
-    let m = measure(&fam, 4, false);
-    assert!(m.metrics.area > 0);
+    let r = Engine::new(EngineOptions::default()).run_one(&Job::new("hypercube:5", fam.clone(), 4));
+    assert_eq!(r.outcome.check, CheckStatus::Legal);
+    assert!(r.outcome.metrics.area > 0);
     let layout = fam.realize(4);
     let back = read_layout(&write_layout(&layout)).unwrap();
     checker::assert_legal(&back, Some(&fam.graph));

@@ -1,10 +1,22 @@
 //! Integration: the paper's headline quantitative claims (§1 claims
 //! 1–4, §2.2), asserted as shape properties of measured layouts.
 
-use mlv_bench::{measure, measure_unchecked};
 use mlv_formulas::predictions;
+use mlv_grid::checker;
+use mlv_grid::metrics::LayoutMetrics;
 use mlv_layout::baseline::compare_models;
-use mlv_layout::families;
+use mlv_layout::engine::{CheckStatus, Engine, EngineOptions, Job};
+use mlv_layout::families::{self, Family};
+use mlv_layout::realize::align_wires;
+
+/// Metrics of `family` at `layers` from an engine job whose check
+/// passed.
+fn metrics(family: &Family, layers: usize) -> LayoutMetrics {
+    let job = Job::new(&family.spec.name, family.clone(), layers);
+    let r = Engine::new(EngineOptions::default()).run_one(&job);
+    assert_eq!(r.outcome.check, CheckStatus::Legal, "{}", r.label);
+    r.outcome.metrics.clone()
+}
 
 /// Claim 1: redesigning for L layers beats folding a Thompson layout —
 /// on track-dominated instances the direct area gain exceeds the folded
@@ -49,8 +61,13 @@ fn wire_gains() {
 #[test]
 fn routed_path_scales_with_layers() {
     let fam = families::genhyper(&[10, 10]);
-    let r2 = measure(&fam, 2, true).routed.unwrap();
-    let r8 = measure(&fam, 8, true).routed.unwrap();
+    let routed = |layers| {
+        let mut layout = fam.realize(layers);
+        checker::assert_legal(&layout, Some(&fam.graph));
+        align_wires(&mut layout, &fam.graph);
+        LayoutMetrics::max_routed_path(&layout, &fam.graph).unwrap()
+    };
+    let (r2, r8) = (routed(2), routed(8));
     assert!(
         r2 as f64 / r8 as f64 > 2.0,
         "routed path gain only {}",
@@ -65,9 +82,9 @@ fn prediction_ratios_improve_with_n() {
     let mut prev = f64::MAX;
     for n in [6usize, 8, 10] {
         let fam = families::hypercube(n);
-        let m = measure_unchecked(&fam, 2);
+        let m = metrics(&fam, 2);
         let p = predictions::hypercube(1 << n, 2);
-        let ratio = m.metrics.area as f64 / p.area;
+        let ratio = m.area as f64 / p.area;
         assert!(ratio < prev, "hypercube ratio not improving at n={n}");
         assert!(ratio >= 1.0, "measured beat the leading term at n={n}?");
         prev = ratio;
@@ -75,9 +92,9 @@ fn prediction_ratios_improve_with_n() {
     let mut prev = f64::MAX;
     for r in [8usize, 12, 16, 24] {
         let fam = families::genhyper(&[r, r]);
-        let m = measure_unchecked(&fam, 2);
+        let m = metrics(&fam, 2);
         let p = predictions::genhyper(r, 2, 2);
-        let ratio = m.metrics.area as f64 / p.area;
+        let ratio = m.area as f64 / p.area;
         assert!(ratio < prev, "GHC ratio not improving at r={r}");
         prev = ratio;
     }
@@ -88,11 +105,11 @@ fn prediction_ratios_improve_with_n() {
 #[test]
 fn ghc_close_to_paper_constants() {
     let fam = families::genhyper(&[24, 24]);
-    let m = measure_unchecked(&fam, 2);
+    let m = metrics(&fam, 2);
     let p = predictions::genhyper(24, 2, 2);
-    let a_ratio = m.metrics.area as f64 / p.area;
+    let a_ratio = m.area as f64 / p.area;
     assert!(a_ratio < 2.0, "area ratio {a_ratio}");
-    let w_ratio = m.metrics.max_wire_planar as f64 / p.max_wire.unwrap();
+    let w_ratio = m.max_wire_planar as f64 / p.max_wire.unwrap();
     assert!(w_ratio < 1.25, "wire ratio {w_ratio}");
 }
 
@@ -105,11 +122,11 @@ fn odd_layers_match_next_even() {
         (families::karyn_cube(4, 3, false), "4-ary 3-cube"),
     ] {
         for odd in [3usize, 5, 7] {
-            let mo = measure(&fam, odd, false);
-            let me = measure(&fam, odd - 1, false);
+            let mo = metrics(&fam, odd);
+            let me = metrics(&fam, odd - 1);
             assert_eq!(
-                mo.metrics.area,
-                me.metrics.area,
+                mo.area,
+                me.area,
                 "{name}: area at L={odd} differs from L={}",
                 odd - 1
             );
@@ -123,8 +140,8 @@ fn odd_layers_match_next_even() {
 #[test]
 fn quadratic_area_scaling_on_dense_network() {
     let fam = families::genhyper(&[24, 24]);
-    let a2 = measure_unchecked(&fam, 2).metrics.area as f64;
-    let a8 = measure_unchecked(&fam, 8).metrics.area as f64;
+    let a2 = metrics(&fam, 2).area as f64;
+    let a8 = metrics(&fam, 8).area as f64;
     let gain = a2 / a8;
     let (s, t) = (25.0f64, 144.0f64); // side 24+1, tracks 24²/4
     let model = ((s + t) / (s + (t / 4.0).ceil())).powi(2);

@@ -2,10 +2,21 @@
 //! folded wire shortening (§3.1), cluster-c overhead (§3.2), and
 //! family-vs-family shape relations.
 
-use mlv_bench::{measure, measure_unchecked, measure_with};
-use mlv_layout::families;
+use mlv_grid::checker;
+use mlv_grid::metrics::LayoutMetrics;
+use mlv_layout::engine::{CheckStatus, Engine, EngineOptions, Job};
+use mlv_layout::families::{self, Family};
 use mlv_layout::realize::RealizeOptions;
 use mlv_topology::cluster::ClusterKind;
+
+/// Metrics of `family` at `layers` from an engine job whose check
+/// passed.
+fn metrics(family: &Family, layers: usize) -> LayoutMetrics {
+    let job = Job::new(&family.spec.name, family.clone(), layers);
+    let r = Engine::new(EngineOptions::default()).run_one(&job);
+    assert_eq!(r.outcome.check, CheckStatus::Legal, "{}", r.label);
+    r.outcome.metrics.clone()
+}
 
 /// §3.2 node-size scalability: growing node footprints well below the
 /// per-gap track budget moves the area only marginally; the growth is
@@ -13,19 +24,15 @@ use mlv_topology::cluster::ClusterKind;
 #[test]
 fn node_size_scalability() {
     let fam = families::genhyper(&[16, 16]);
-    let base = measure(&fam, 2, false);
+    let base = metrics(&fam, 2);
     // base pitch: side 16 + 64 tracks (K16 collinear = 64)
-    let m = measure_with(
-        &fam,
-        &RealizeOptions {
-            layers: 2,
-            node_side: Some(24),
-            jog_strategy: Default::default(),
-            pdk: None,
-        },
-        false,
-    );
-    let measured_ratio = m.metrics.area as f64 / base.metrics.area as f64;
+    let layout = fam.realize_with(&RealizeOptions {
+        node_side: Some(24),
+        ..RealizeOptions::with_layers(2)
+    });
+    checker::assert_legal(&layout, Some(&fam.graph));
+    let m = LayoutMetrics::of(&layout);
+    let measured_ratio = m.area as f64 / base.area as f64;
     let expected = (88.0f64 / 80.0).powi(2);
     assert!(
         (measured_ratio - expected).abs() < 1e-6,
@@ -39,12 +46,12 @@ fn node_size_scalability() {
 /// longest wire by roughly k/2 while costing few extra tracks.
 #[test]
 fn folding_shortens_wires() {
-    let plain = measure(&families::karyn_cube(8, 2, false), 2, false);
-    let folded = measure(&families::karyn_cube(8, 2, true), 2, false);
-    let gain = plain.metrics.max_wire_planar as f64 / folded.metrics.max_wire_planar as f64;
+    let plain = metrics(&families::karyn_cube(8, 2, false), 2);
+    let folded = metrics(&families::karyn_cube(8, 2, true), 2);
+    let gain = plain.max_wire_planar as f64 / folded.max_wire_planar as f64;
     assert!(gain > 2.0, "fold gain {gain}");
     // area overhead bounded
-    let overhead = folded.metrics.area as f64 / plain.metrics.area as f64;
+    let overhead = folded.area as f64 / plain.area as f64;
     assert!(overhead < 2.0, "fold area overhead {overhead}");
 }
 
@@ -55,8 +62,8 @@ fn cluster_overhead_shrinks_with_radix() {
     let overhead = |k: usize| {
         let fam = families::kary_cluster(k, 4, 2, ClusterKind::Ring);
         let flat = families::karyn_cube(k, 4, false);
-        let a = measure_unchecked(&fam, 2).metrics.area as f64;
-        let b = measure_unchecked(&flat, 2).metrics.area as f64;
+        let a = metrics(&fam, 2).area as f64;
+        let b = metrics(&flat, 2).area as f64;
         a / b
     };
     let o4 = overhead(4);
@@ -70,8 +77,8 @@ fn cluster_overhead_shrinks_with_radix() {
 #[test]
 fn ccc_overhead_over_quotient_cube() {
     for n in [4usize, 5, 6] {
-        let c = measure(&families::ccc(n), 2, false).metrics.area as f64;
-        let h = measure(&families::hypercube(n), 2, false).metrics.area as f64;
+        let c = metrics(&families::ccc(n), 2).area as f64;
+        let h = metrics(&families::hypercube(n), 2).area as f64;
         let overhead = c / h;
         assert!(
             overhead < 8.0,
@@ -86,13 +93,9 @@ fn ccc_overhead_over_quotient_cube() {
 #[test]
 fn variant_area_ordering() {
     for layers in [2usize, 4] {
-        let plain = measure(&families::hypercube(7), layers, false).metrics.area as f64;
-        let folded = measure(&families::folded_hypercube(7), layers, false)
-            .metrics
-            .area as f64;
-        let enhanced = measure(&families::enhanced_cube(7, 5), layers, false)
-            .metrics
-            .area as f64;
+        let plain = metrics(&families::hypercube(7), layers).area as f64;
+        let folded = metrics(&families::folded_hypercube(7), layers).area as f64;
+        let enhanced = metrics(&families::enhanced_cube(7, 5), layers).area as f64;
         assert!(plain < folded && folded < enhanced);
         assert!(folded / plain <= 49.0 / 16.0 + 0.5, "{}", folded / plain);
         assert!(
@@ -109,12 +112,12 @@ fn variant_area_ordering() {
 fn measured_areas_respect_lower_bounds() {
     use mlv_formulas::{bisection, bounds};
     for layers in [2usize, 4, 8] {
-        let m = measure(&families::hypercube(8), layers, false);
+        let m = metrics(&families::hypercube(8), layers);
         let bound = bounds::area_lower_bound(bisection::hypercube(8), layers);
-        assert!(m.metrics.area as f64 >= bound);
-        let m = measure(&families::genhyper(&[12, 12]), layers, false);
+        assert!(m.area as f64 >= bound);
+        let m = metrics(&families::genhyper(&[12, 12]), layers);
         let bound = bounds::area_lower_bound(bisection::genhyper(12, 2), layers);
-        assert!(m.metrics.area as f64 >= bound);
+        assert!(m.area as f64 >= bound);
     }
 }
 
@@ -126,8 +129,7 @@ fn butterfly_ratio_improves_with_m() {
     let mut prev = f64::MAX;
     for m in [4usize, 6, 8, 10] {
         let fam = families::butterfly(m);
-        let meas = measure_unchecked(&fam, 2);
-        let ratio = meas.metrics.area as f64 / predict(m << m, 2).area;
+        let ratio = metrics(&fam, 2).area as f64 / predict(m << m, 2).area;
         assert!(ratio < prev, "ratio not improving at m={m}: {ratio}");
         prev = ratio;
     }
