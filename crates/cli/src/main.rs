@@ -17,7 +17,8 @@
 //! `mlv check`), `--ascii`, `--json` (machine-readable report).
 //!
 //! Every command prints through [`write_stdout`], so `mlv … | head`
-//! ends quietly once the reader has what it wants.
+//! ends quietly once the reader has what it wants, and reports through
+//! [`write_stderr`], so a closed stderr leaves its exit code alone.
 
 /// `print!` through [`write_stdout`].
 macro_rules! out {
@@ -30,6 +31,13 @@ macro_rules! out {
 macro_rules! outln {
     ($($arg:tt)*) => {
         out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// `eprintln!` through [`write_stderr`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        $crate::write_stderr(format_args!("{}\n", format_args!($($arg)*)))
     };
 }
 
@@ -68,7 +76,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some(other) => {
-            eprintln!("unknown command '{other}'\n\n{HELP}");
+            errln!("unknown command '{other}'\n\n{HELP}");
             ExitCode::FAILURE
         }
     };
@@ -87,11 +95,18 @@ fn write_stdout(args: std::fmt::Arguments) {
     }
 }
 
+/// Write to stderr, the one way every command reports. A write error is
+/// ignored: with nobody left to read, a report cannot change the exit
+/// code.
+fn write_stderr(args: std::fmt::Arguments) {
+    let _ = std::io::stderr().lock().write_fmt(args);
+}
+
 fn stdout_failed(e: std::io::Error) -> ! {
     if e.kind() == std::io::ErrorKind::BrokenPipe {
         std::process::exit(0);
     }
-    eprintln!("error: writing stdout: {e}");
+    errln!("error: writing stdout: {e}");
     std::process::exit(1);
 }
 
@@ -192,7 +207,7 @@ fn cmd_families(args: &[String]) -> ExitCode {
         [] => false,
         [flag] if flag == "--json" => true,
         _ => {
-            eprintln!("usage: mlv families [--json]");
+            errln!("usage: mlv families [--json]");
             return ExitCode::FAILURE;
         }
     };
@@ -321,7 +336,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 }
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("error: {msg}");
+    errln!("error: {msg}");
     ExitCode::FAILURE
 }
 
@@ -403,13 +418,15 @@ fn cmd_layout(args: &[String]) -> ExitCode {
             },
         ),
     };
+    // this process realizes nothing more
+    mlv_layout::release_scratch();
     let metrics = metrics_stream(&tiled);
     // the streaming report has no physical section
     let physical = match &pdk {
         Some(p) if !flags.tiled => match PhysicalMetrics::of(&tiled, p) {
             Ok(ph) => Some(ph),
             Err(e) => {
-                eprintln!("warning: {e}");
+                errln!("warning: {e}");
                 None
             }
         },
@@ -421,7 +438,7 @@ fn cmd_layout(args: &[String]) -> ExitCode {
             None => checker::check(&tiled, Some(&family.graph)),
         };
         if !r.is_legal() {
-            eprintln!(
+            errln!(
                 "legality check FAILED: {:?}",
                 &r.errors[..r.errors.len().min(3)]
             );
@@ -461,14 +478,14 @@ fn cmd_layout(args: &[String]) -> ExitCode {
         if let Err(e) = std::fs::write(path, text) {
             return fail(format!("writing {path}: {e}"));
         }
-        eprintln!("saved {path}");
+        errln!("saved {path}");
     }
     if let (Some(path), Some(layout)) = (&flags.svg, &flat) {
         let svg = render_svg(layout, &SvgOptions::default());
         if let Err(e) = std::fs::write(path, svg) {
             return fail(format!("writing {path}: {e}"));
         }
-        eprintln!("wrote {path}");
+        errln!("wrote {path}");
     }
     if checked == Some(false) {
         return ExitCode::FAILURE;
@@ -554,11 +571,11 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             .unwrap_or(2000);
         let cases = flags.cases.unwrap_or(8);
         match &pdk {
-            Some(p) => eprintln!(
+            Some(p) => errln!(
                 "sweep: lattice seed={seed} cases/family={cases} pdk={}",
                 p.name
             ),
-            None => eprintln!("sweep: lattice seed={seed} cases/family={cases}"),
+            None => errln!("sweep: lattice seed={seed} cases/family={cases}"),
         }
         mlv_layout::engine::lattice_jobs_with_pdk(seed, cases, pdk.as_ref())
     } else {
@@ -600,17 +617,17 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         if let Err(e) = std::fs::write(path, trace_document(&t.aggregate())) {
             return fail(format!("writing {path}: {e}"));
         }
-        eprintln!("trace written to {path}");
+        errln!("trace written to {path}");
     }
     let mut illegal = 0usize;
     for r in &report.results {
         if let CheckStatus::Illegal(why) = &r.outcome.check {
             illegal += 1;
-            eprintln!("ILLEGAL [{}]: {why}", r.label);
+            errln!("ILLEGAL [{}]: {why}", r.label);
         }
         outln!("{}", r.json_line());
     }
-    eprintln!(
+    errln!(
         "sweep: {} jobs in {:.1} ms — cache hits={} misses={} evictions={}",
         report.results.len(),
         elapsed.as_secs_f64() * 1e3,
@@ -619,7 +636,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         report.cache.evictions,
     );
     if illegal > 0 {
-        eprintln!("sweep: {illegal} illegal layout(s)");
+        errln!("sweep: {illegal} illegal layout(s)");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -699,10 +716,10 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     for r in &report.results {
         if let CheckStatus::Illegal(why) = &r.outcome.check {
             illegal = true;
-            eprintln!("ILLEGAL [{}]: {why}", r.label);
+            errln!("ILLEGAL [{}]: {why}", r.label);
         }
     }
-    eprintln!(
+    errln!(
         "profile: {spec} L={layers} in {:.1} ms — {} span(s), {} counter(s), {} histogram(s)",
         elapsed.as_secs_f64() * 1e3,
         agg.spans.len(),
@@ -844,7 +861,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let server = match &listen_addr {
         Some(addr) => match listen(std::sync::Arc::clone(&service), addr, max_connections) {
             Ok(h) => {
-                eprintln!("serve: listening on {}", h.addr());
+                errln!("serve: listening on {}", h.addr());
                 Some(h)
             }
             Err(e) => return fail(format!("binding {addr}: {e}")),
@@ -852,11 +869,13 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         None => None,
     };
     if stdio || listen_addr.is_none() {
-        eprintln!("serve: reading JSON-lines requests from stdin");
+        errln!("serve: reading JSON-lines requests from stdin");
         let stats = serve_stdio(&service);
-        eprintln!(
+        errln!(
             "serve: stdio closed — {} accepted, {} shed, {} oversize",
-            stats.accepted, stats.shed, stats.oversize
+            stats.accepted,
+            stats.shed,
+            stats.oversize
         );
         if let Some(h) = server {
             h.shutdown();
@@ -920,7 +939,7 @@ fn cmd_conformance(args: &[String]) -> ExitCode {
     let full = config.inject
         && config.families.len() == mlv_conformance::cases::family_names().len()
         && config.cases_per_family >= cycle;
-    eprintln!(
+    errln!(
         "conformance: seed={} cases/family={} families={} inject={} pdk_axis={}",
         config.seed,
         config.cases_per_family,
@@ -933,19 +952,19 @@ fn cmd_conformance(args: &[String]) -> ExitCode {
         outln!("{}", r.json_line());
     }
     if !report.uncovered_kinds().is_empty() {
-        eprintln!(
+        errln!(
             "CheckError kinds not exercised: {:?}",
             report.uncovered_kinds()
         );
     }
     if report.passed(full) {
-        eprintln!(
+        errln!(
             "conformance: PASSED (reproduce with --seed {})",
             report.seed
         );
         ExitCode::SUCCESS
     } else {
-        eprintln!(
+        errln!(
             "conformance: FAILED (reproduce with --seed {})",
             report.seed
         );

@@ -44,8 +44,24 @@ fn families_json_covers_registry() {
     }
 }
 
+/// A closed stderr is not an error: with nobody reading its reports,
+/// `mlv sweep` still prints its jobs and exits with its own code.
+#[test]
+fn closed_stderr_keeps_the_exit_code() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_mlv"))
+        .args(["sweep", "hypercube:4", "--layers", "2,4"])
+        .stderr(writer)
+        .output()
+        .expect("spawn mlv");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(String::from_utf8(out.stdout).unwrap().lines().count(), 2);
+}
+
 /// `mlv profile` emits one JSON object per line, covers all four
-/// pipeline passes plus the engine spans, and closes with a digest.
+/// pipeline passes plus the engine and checker spans, and closes with a
+/// digest.
 #[test]
 fn profile_emits_full_trace() {
     let out = mlv(&["profile", "hypercube", "6", "--layers", "4"]);
@@ -66,6 +82,10 @@ fn profile_emits_full_trace() {
         "engine.batch",
         "engine.job",
         "checker.check",
+        "checker.nodes",
+        "checker.walk",
+        "checker.sweep",
+        "checker.topology",
     ] {
         assert!(
             stdout.contains(&format!("\"type\":\"span\",\"name\":\"{span}\"")),

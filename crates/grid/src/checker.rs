@@ -46,19 +46,25 @@
 //! no meeting. Only a layout whose runs meet is walked again, to name
 //! each wire's first revisit in path order and the shared points.
 //!
-//! A wire has at most one run per segment, so a first walk over the
-//! source sums that bound and the run array is allocated once, never
-//! regrown. An illegal layout visits only the points it reports. The
-//! check runs on the calling thread, so the report cannot depend on
-//! thread count.
+//! A wire has at most one run per segment along one axis. So a first
+//! walk over the source sums that bound per axis and finds the wires'
+//! extent, and the three run arrays, one per axis, are allocated once,
+//! never regrown. Where the extent is below 2³² on every axis a run is
+//! held as `u32` offsets from the minimum corner, 20 bytes, and in
+//! `i64`s otherwise; the report is the same at either width. An illegal
+//! layout visits only the points it reports. The check runs on the
+//! calling thread, so the report cannot depend on thread count. Its
+//! phases are traced as `checker.nodes`, `checker.walk`, `checker.sweep`
+//! and `checker.topology` inside `checker.check`.
 
 use crate::geom::Point3;
 use crate::hasher::FxBuildHasher;
 use crate::layout::NodePlacement;
-use crate::path::{stats_of, PathError};
+use crate::path::PathError;
 use crate::pdk::Pdk;
-use crate::runs::{self, AnyMeeting, Coord, Run, Sink, Stretch};
+use crate::runs::{self, AnyMeeting, Coord, Run, Runs, Sink, Stretch, Width};
 use crate::streaming::{FpIndex, StreamSource};
+use mlv_core::trace::SpanGuard;
 use mlv_topology::{EdgeId, Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
@@ -231,61 +237,39 @@ impl CheckReport {
 /// ```
 pub fn check<S: StreamSource + ?Sized>(src: &S, reference: Option<&Graph>) -> CheckReport {
     let _span = mlv_core::span!("checker.check");
-    let cap = CheckReport::ERROR_CAP;
+    let nodes = mlv_core::span!("checker.nodes");
     let mut placements: Vec<NodePlacement> = Vec::with_capacity(src.node_count());
     src.visit_nodes(&mut |n| placements.push(n));
     let fp = FpIndex::build(&placements);
     let placed: HashMap<NodeId, i32, FxBuildHasher> =
         placements.iter().map(|n| (n.node, n.layer)).collect();
-    // a wire splits into at most one run per segment, or one run if it
-    // has a single corner, so the run array is sized once; the same walk
+    let overlaps = node_overlaps(&placements);
+    drop(nodes);
+
+    let walk = mlv_core::span!("checker.walk");
+    // the first walk bounds the runs and their coordinates; it also
     // totals the wire points and the endpoint multiset, one pair a wire
-    let mut run_bound = 0usize;
-    let mut wire_points = 0u64;
+    let mut bound = Bound::new();
     let mut multiset = reference.map(|_| Vec::with_capacity(src.wire_count()));
     src.visit_wires(&mut |u, v, corners| {
-        run_bound += corners.len().saturating_sub(1).max(1);
-        if !corners.is_empty() {
-            let steps = stats_of(corners).1;
-            wire_points = wire_points.saturating_add(steps).saturating_add(1);
-        }
+        bound.add(corners);
         if let Some(m) = &mut multiset {
             m.push(if u <= v { (u, v) } else { (v, u) });
         }
     });
-
-    let overlaps = node_overlaps(&placements);
-    let node_errors = overlaps.len();
-    let mut scan = WireScan {
-        rules: WireRules {
-            layers: src.layers() as i32,
-            fp: &fp,
-            placed: &placed,
-        },
-        revisits: false,
-        errors: overlaps,
-        wires: 0,
-        runs: Vec::with_capacity(run_bound),
-        diagonals: Vec::new(),
-        path: Vec::new(),
-        scratch: Vec::new(),
+    let rules = WireRules {
+        layers: src.layers() as i32,
+        fp: &fp,
+        placed: &placed,
     };
-    src.visit_wires(&mut |u, v, corners| scan.visit(u, v, corners));
-    // A wire revisits a point only where two of its own runs meet. So if
-    // no runs meet, no wire revisits a point and no two wires share one,
-    // and the walk, which skipped the revisit test, made the report.
-    // Otherwise walk again in the same run array, testing each wire for
-    // its first revisit in path order, and name the shared points.
-    if runs::meetings(&mut scan.runs, &scan.diagonals, &mut AnyMeeting).is_break() {
-        scan.restart(node_errors);
-        src.visit_wires(&mut |u, v, corners| scan.visit(u, v, corners));
-        if scan.errors.len() < cap {
-            shared_points(&mut scan.runs, &scan.diagonals, &mut scan.errors);
-        }
-    }
-    let mut errors = scan.errors;
+    let mut errors = if bound.narrow() {
+        wire_errors::<u32, S>(src, rules, &bound, overlaps, walk)
+    } else {
+        wire_errors::<i64, S>(src, rules, &bound, overlaps, walk)
+    };
     if let (Some(g), Some(pairs)) = (reference, multiset) {
-        if errors.len() < cap {
+        if errors.len() < CheckReport::ERROR_CAP {
+            let _topology = mlv_core::span!("checker.topology");
             topology_errors(g, placements.len(), pairs, &mut errors);
         }
     }
@@ -294,11 +278,114 @@ pub fn check<S: StreamSource + ?Sized>(src: &S, reference: Option<&Graph>) -> Ch
     mlv_core::counter!("checker.errors", errors.len() as u64);
     CheckReport {
         errors,
-        wire_points,
+        wire_points: bound.wire_points,
         node_points: placements
             .iter()
             .fold(0u64, |sum, n| sum.saturating_add(n.rect.point_count())),
     }
+}
+
+/// What the first walk learns of the wires: their extent, how many runs
+/// they can split into, and their points.
+struct Bound {
+    /// The least and the greatest coordinate of a corner, per axis.
+    min: Coord,
+    max: Coord,
+    /// Per axis, the most runs the wires can split into along it.
+    runs: [usize; 3],
+    /// Total grid points of the wires, saturating.
+    wire_points: u64,
+}
+
+impl Bound {
+    fn new() -> Bound {
+        Bound {
+            min: [i64::MAX; 3],
+            max: [i64::MIN; 3],
+            runs: [0; 3],
+            wire_points: 0,
+        }
+    }
+
+    /// Take in one wire. It splits into at most one run per segment
+    /// along one axis, or one x-run if it never moves.
+    fn add(&mut self, corners: &[Point3]) {
+        let Some(&first) = corners.first() else {
+            return;
+        };
+        let (mut prev, mut steps) = (runs::coord(first), 0u64);
+        for &p in corners {
+            let c = runs::coord(p);
+            for k in 0..3 {
+                self.min[k] = self.min[k].min(c[k]);
+                self.max[k] = self.max[k].max(c[k]);
+                steps = steps.saturating_add(c[k].abs_diff(prev[k]));
+            }
+            match [0, 1, 2].map(|k| c[k] != prev[k]) {
+                [true, false, false] => self.runs[0] += 1,
+                [false, true, false] => self.runs[1] += 1,
+                [false, false, true] => self.runs[2] += 1,
+                _ => {}
+            }
+            prev = c;
+        }
+        if steps == 0 {
+            self.runs[0] += 1;
+        }
+        self.wire_points = self.wire_points.saturating_add(steps).saturating_add(1);
+    }
+
+    /// Whether the wires span less than 2³² on every axis, so that their
+    /// runs fit `u32` offsets from the minimum corner.
+    fn narrow(&self) -> bool {
+        (0..3).all(|k| self.max[k].saturating_sub(self.min[k]) <= i64::from(u32::MAX))
+    }
+}
+
+/// The wire rules, in coordinates of width `W`, where `walk` times the
+/// walk so far and `errors` holds the node errors. One walk applies the
+/// per-wire rules and collects the runs, and one sweep looks for runs
+/// that meet.
+fn wire_errors<W: Width, S: StreamSource + ?Sized>(
+    src: &S,
+    rules: WireRules<'_>,
+    bound: &Bound,
+    errors: Vec<CheckError>,
+    walk: SpanGuard,
+) -> Vec<CheckError> {
+    let node_errors = errors.len();
+    let mut scan = WireScan {
+        rules,
+        revisits: false,
+        errors,
+        wires: 0,
+        runs: Runs::<W>::with_capacity([bound.min, bound.max], bound.runs),
+        diagonals: Vec::new(),
+        path: Vec::new(),
+        scratch: Runs::default(),
+    };
+    src.visit_wires(&mut |u, v, corners| scan.visit(u, v, corners));
+    drop(walk);
+    // A wire revisits a point only where two of its own runs meet. So if
+    // no runs meet, no wire revisits a point and no two wires share one,
+    // and the walk, which skipped the revisit test, made the report.
+    // Otherwise walk again in the same run arrays, testing each wire for
+    // its first revisit in path order, and name the shared points.
+    let met = {
+        let _sweep = mlv_core::span!("checker.sweep");
+        runs::meetings(&mut scan.runs, &scan.diagonals, &mut AnyMeeting).is_break()
+    };
+    if met {
+        let walk = mlv_core::span!("checker.walk");
+        scan.restart(node_errors);
+        src.visit_wires(&mut |u, v, corners| scan.visit(u, v, corners));
+        drop(walk);
+        if scan.errors.len() < CheckReport::ERROR_CAP {
+            let _sweep = mlv_core::span!("checker.sweep");
+            shared_points(&mut scan.runs, &scan.diagonals, &mut scan.errors);
+        }
+    }
+    scan.errors
 }
 
 /// Pairwise footprint overlaps on a shared layer, in `(layer, x0)`
@@ -424,7 +511,7 @@ impl WireRules<'_> {
 /// A walk over the source's wires. It runs the per-wire rules while
 /// errors are under the cap and collects every wire's runs and
 /// diagonals for the cross-wire phase.
-struct WireScan<'a> {
+struct WireScan<'a, W> {
     rules: WireRules<'a>,
     /// Whether to test each wire for its first revisit. Only a layout
     /// whose runs meet needs it.
@@ -432,14 +519,14 @@ struct WireScan<'a> {
     errors: Vec<CheckError>,
     /// Wires visited so far.
     wires: usize,
-    runs: Vec<Run>,
+    runs: Runs<W>,
     diagonals: Vec<(Stretch, u32)>,
     /// The current wire's runs in path order, and working space.
     path: Vec<(Run, bool)>,
-    scratch: Vec<Run>,
+    scratch: Runs<i64>,
 }
 
-impl WireScan<'_> {
+impl<W: Width> WireScan<'_, W> {
     fn visit(&mut self, u: NodeId, v: NodeId, corners: &[Point3]) {
         let i = self.wires;
         self.wires += 1;
@@ -468,12 +555,14 @@ impl WireScan<'_> {
                 .scan(i, (u, v), corners, &self.path, &mut self.errors),
         }
         self.errors.truncate(CheckReport::ERROR_CAP);
-        self.runs.extend(self.path.iter().map(|&(r, _)| r));
+        for (run, _) in &self.path {
+            self.runs.push(run);
+        }
     }
 
     /// Start a second walk that tests revisits: keep the first `kept`
-    /// errors, which come before any wire's, and empty the run array in
-    /// place, so that two are never held.
+    /// errors, which come before any wire's, and empty the run arrays in
+    /// place, so that two sets are never held.
     fn restart(&mut self, kept: usize) {
         self.revisits = true;
         self.errors.truncate(kept);
@@ -523,7 +612,11 @@ impl Sink for FirstShared {
 /// The first shared points are kept from where runs meet, each meeting
 /// offering at most a cap's worth of points, and the wires holding each
 /// kept point are looked up; no other point is visited.
-fn shared_points(runs: &mut [Run], diagonals: &[(Stretch, u32)], errors: &mut Vec<CheckError>) {
+fn shared_points<W: Width>(
+    runs: &mut Runs<W>,
+    diagonals: &[(Stretch, u32)],
+    errors: &mut Vec<CheckError>,
+) {
     let budget = CheckReport::ERROR_CAP - errors.len();
     let mut first = FirstShared {
         budget,
@@ -533,11 +626,12 @@ fn shared_points(runs: &mut [Run], diagonals: &[(Stretch, u32)], errors: &mut Ve
     if first.points.is_empty() {
         return;
     }
-    runs.sort_unstable();
+    runs.sort_by_line();
     let mut wires = Vec::new();
     for c in first.points {
         wires.clear();
-        runs::holders(runs, diagonals, c, &mut wires);
+        runs.holders(c, &mut wires);
+        wires.extend(diagonals.iter().filter(|d| d.0.contains(c)).map(|d| d.1));
         wires.sort_unstable();
         for pair in wires.windows(2) {
             errors.push(CheckError::WireConflict {

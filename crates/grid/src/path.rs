@@ -7,7 +7,7 @@
 //! the model's inter-layer *vias*.
 
 use crate::geom::Point3;
-use crate::runs;
+use crate::runs::{self, Runs};
 
 /// A rectilinear path stored as its corner sequence.
 ///
@@ -126,7 +126,7 @@ impl WirePath {
         if let Some(i) = runs::split(&self.corners, 0, &mut path, &mut Vec::new()) {
             return Err(PathError::NotAxisAligned(i));
         }
-        match runs::first_revisit(&path, &mut Vec::new()) {
+        match runs::first_revisit(&path, &mut Runs::default()) {
             Some(c) => Err(PathError::SelfIntersection(runs::point(c))),
             None => Ok(()),
         }

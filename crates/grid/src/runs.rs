@@ -19,6 +19,16 @@
 //! whose axes are the two directions. The stretches of one line enter a
 //! sweep in order of their start, so collinear stretches overlap where
 //! one starts before the furthest end of those entered before it.
+//!
+//! The sweeps take their runs from [`Runs`]: one array per axis, so a
+//! run does not carry its axis, in coordinates of a [`Width`]. Where the
+//! wires span less than 2³² on every axis a coordinate is a `u32` offset
+//! from the wires' minimum corner, and a run is 20 bytes; elsewhere it is
+//! an absolute `i64`. Each sweep sorts its two arrays by one packed key
+//! ([`sort_by_packed_key`]) and keeps the runs it has entered in a
+//! bitmap where offsets take at most 16 bits ([`Small`]), in a tree
+//! otherwise. Meeting points are translated back, so a sink sees the
+//! same points at either width.
 
 use crate::geom::Point3;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -51,9 +61,9 @@ fn unit(axis: usize) -> Coord {
     step
 }
 
-/// An axis-parallel run: the grid points `lo..=hi` along `axis` on the
-/// line that `line` fixes. Runs order by axis, line, then start.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// An axis-parallel run of a wire's path: the grid points `lo..=hi`
+/// along `axis` on the line that `line` fixes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Run {
     /// 0, 1 or 2 for a run along x, y or z.
     pub axis: u8,
@@ -92,13 +102,157 @@ impl Run {
             .all(|(lo, hi)| lo <= hi)
             .then_some(both[self.axis as usize])
     }
+}
 
-    pub fn stretch(&self) -> Stretch {
-        Stretch {
-            start: self.at(self.lo),
-            step: unit(self.axis as usize),
-            len: self.hi.abs_diff(self.lo).saturating_add(1),
+/// The coordinates of the runs in a [`Runs`]: `u32` offsets from an
+/// origin, or absolute `i64`s, which ignore the origin.
+pub(crate) trait Width: Copy + Ord {
+    /// Two coordinates packed into one key that orders as the pair.
+    type Key: Radix;
+
+    /// What a sweep keeps its long runs in.
+    type Active: Active<Self>;
+
+    /// The absolute coordinate `c` past `origin`, if it fits.
+    fn from_abs(c: i64, origin: i64) -> Option<Self>;
+
+    /// The absolute coordinate.
+    fn to_abs(self, origin: i64) -> i64;
+
+    /// `a` and `b` packed into a key that orders as the pair, where `b`
+    /// is less than `2^shift`.
+    fn pack(a: Self, b: Self, shift: u32) -> Self::Key;
+
+    /// An empty active set for offsets of `bits` bits.
+    fn active(bits: u32) -> Self::Active;
+}
+
+impl Width for u32 {
+    type Key = u64;
+    type Active = Small;
+
+    fn from_abs(c: i64, origin: i64) -> Option<u32> {
+        c.checked_sub(origin).and_then(|d| u32::try_from(d).ok())
+    }
+
+    fn to_abs(self, origin: i64) -> i64 {
+        origin + i64::from(self)
+    }
+
+    fn pack(a: u32, b: u32, shift: u32) -> u64 {
+        u64::from(a) << shift | u64::from(b)
+    }
+
+    fn active(bits: u32) -> Small {
+        Small::new(bits)
+    }
+}
+
+impl Width for i64 {
+    type Key = u128;
+    type Active = Tree<i64>;
+
+    fn from_abs(c: i64, _: i64) -> Option<i64> {
+        Some(c)
+    }
+
+    fn to_abs(self, _: i64) -> i64 {
+        self
+    }
+
+    fn pack(a: i64, b: i64, _: u32) -> u128 {
+        // flipping the sign bit orders `i64`s as `u64`s
+        let flip = |v: i64| u128::from(v as u64 ^ 1 << 63);
+        flip(a) << 64 | flip(b)
+    }
+
+    fn active(_: u32) -> Tree<i64> {
+        Tree::default()
+    }
+}
+
+/// A run in its axis's array of a [`Runs`]: the points `lo..=hi` along
+/// the axis on the line that `line` fixes, in coordinates of width `W`.
+#[derive(Clone, Copy)]
+pub(crate) struct AxisRun<W> {
+    /// The two other coordinates, in `(x, y, z)` order.
+    pub line: [W; 2],
+    pub lo: W,
+    pub hi: W,
+    /// Index of the wire the run belongs to.
+    pub wire: u32,
+}
+
+/// The runs of many wires, one array per axis.
+pub(crate) struct Runs<W> {
+    /// The runs along x, y and z.
+    axes: [Vec<AxisRun<W>>; 3],
+    /// The point that `u32` coordinates are offsets from.
+    origin: Coord,
+    /// Per axis, the bits an offset takes.
+    bits: [u32; 3],
+    /// Working space of the sorts.
+    aux: Vec<AxisRun<W>>,
+}
+
+/// No runs, at the origin `[0, 0, 0]`.
+impl<W> Default for Runs<W> {
+    fn default() -> Self {
+        Runs {
+            axes: Default::default(),
+            origin: [0; 3],
+            bits: [32; 3],
+            aux: Vec::new(),
         }
+    }
+}
+
+impl<W: Width> Runs<W> {
+    /// Room for `capacity[k]` runs along axis `k`, whose coordinates lie
+    /// between the corners `min` and `max`.
+    pub fn with_capacity([min, max]: [Coord; 2], capacity: [usize; 3]) -> Runs<W> {
+        let bits = |k: usize| u64::BITS - max[k].abs_diff(min[k]).leading_zeros();
+        Runs {
+            axes: capacity.map(Vec::with_capacity),
+            origin: min,
+            bits: [0, 1, 2].map(|k| bits(k).min(32)),
+            aux: Vec::new(),
+        }
+    }
+
+    /// Add `run`, which must lie where width `W` reaches from the origin.
+    pub fn push(&mut self, run: &Run) {
+        let axis = run.axis as usize;
+        let at = |c: i64, k: usize| W::from_abs(c, self.origin[k]).expect("a run within reach");
+        let [a, b] = others(run.axis);
+        let run = AxisRun {
+            line: [at(run.line[0], a), at(run.line[1], b)],
+            lo: at(run.lo, axis),
+            hi: at(run.hi, axis),
+            wire: run.wire,
+        };
+        self.axes[axis].push(run);
+    }
+
+    pub fn clear(&mut self) {
+        self.axes.iter_mut().for_each(Vec::clear);
+    }
+
+    /// The runs along `axis` as stretches.
+    fn stretches(&self, axis: usize) -> impl Iterator<Item = Stretch> + '_ {
+        let [a, b] = others(axis as u8);
+        let o = self.origin;
+        self.axes[axis].iter().map(move |r| {
+            let mut start = [0; 3];
+            start[axis] = r.lo.to_abs(o[axis]);
+            start[a] = r.line[0].to_abs(o[a]);
+            start[b] = r.line[1].to_abs(o[b]);
+            Stretch {
+                start,
+                step: unit(axis),
+                len: r.hi.to_abs(o[axis]).abs_diff(start[axis]).saturating_add(1),
+            }
+        })
     }
 }
 
@@ -281,50 +435,120 @@ pub(crate) trait Sink {
 /// Report to `sink` every stretch of a line that two stretches share
 /// and every point where stretches of two different directions cross.
 /// A place where stretches meet may be reported more than once.
-/// Reorders `runs`.
-pub(crate) fn meetings(
-    runs: &mut [Run],
+/// Reorders the runs.
+pub(crate) fn meetings<W: Width>(
+    runs: &mut Runs<W>,
     diagonals: &[(Stretch, u32)],
     sink: &mut impl Sink,
 ) -> ControlFlow<()> {
-    let xs = partition(runs, |r| r.axis == 0);
-    let (xs, rest) = runs.split_at_mut(xs);
-    let ys = partition(rest, |r| r.axis == 1);
-    let (ys, zs) = rest.split_at_mut(ys);
-    sweep_runs(xs, ys, [0, 1], sink)?;
-    sweep_runs(xs, zs, [0, 2], sink)?;
-    sweep_runs(ys, zs, [1, 2], sink)?;
+    let Runs {
+        axes: [xs, ys, zs],
+        aux,
+        ..
+    } = runs;
+    let at = (runs.origin, runs.bits);
+    sweep_runs(xs, ys, [0, 1], at, aux, sink)?;
+    sweep_runs(xs, zs, [0, 2], at, aux, sink)?;
+    sweep_runs(ys, zs, [1, 2], at, aux, sink)?;
     if diagonals.is_empty() {
         return ControlFlow::Continue(());
     }
-    diagonal_meetings([xs, ys, zs], diagonals, sink)
+    diagonal_meetings(runs, diagonals, sink)
 }
 
-/// Move the runs satisfying `pred` to the front; returns their count.
-fn partition(runs: &mut [Run], pred: impl Fn(&Run) -> bool) -> usize {
-    let mut front = 0;
-    for i in 0..runs.len() {
-        if pred(&runs[i]) {
-            runs.swap(front, i);
-            front += 1;
+/// A sort key of bytes, the least significant first.
+pub(crate) trait Radix: Copy + Ord {
+    const BYTES: usize;
+
+    fn byte(self, i: usize) -> u8;
+}
+
+impl Radix for u64 {
+    const BYTES: usize = 8;
+
+    fn byte(self, i: usize) -> u8 {
+        (self >> (8 * i)) as u8
+    }
+}
+
+impl Radix for u128 {
+    const BYTES: usize = 16;
+
+    fn byte(self, i: usize) -> u8 {
+        (self >> (8 * i)) as u8
+    }
+}
+
+/// Below this length [`sort_by_packed_key`] sorts by comparison. On
+/// 20-byte runs the two sorts cost the same at about 64 runs with
+/// two-byte keys and 128 with three-byte keys; at 512 the radix sort
+/// takes two thirds of the time, and at 16k a third.
+const SMALL_SORT: usize = 128;
+
+/// Sort `v` by `key`, unstably; `aux` is working space. A long slice is
+/// sorted by a least-significant-digit radix sort over the key's bytes,
+/// which skips a byte that every key shares: offsets from a layout's
+/// minimum corner leave most bytes of a packed key zero.
+pub(crate) fn sort_by_packed_key<T: Copy, K: Radix>(
+    v: &mut [T],
+    key: impl Fn(&T) -> K,
+    aux: &mut Vec<T>,
+) {
+    let n = v.len();
+    if n < SMALL_SORT {
+        v.sort_unstable_by_key(key);
+        return;
+    }
+    // one histogram per byte, counted in one pass
+    let mut counts = vec![[0usize; 256]; K::BYTES];
+    for t in v.iter() {
+        let k = key(t);
+        for (d, c) in counts.iter_mut().enumerate() {
+            c[usize::from(k.byte(d))] += 1;
         }
     }
-    front
-}
-
-/// A sort key ordering `(a, b)` pairs of `i64` as the tuple orders. The
-/// sweeps' sorts are the larger part of a check, and they run ~10%
-/// faster on one `i128` than on the tuple.
-fn key(a: i64, b: i64) -> i128 {
-    ((a as i128) << 64) | (b as u64 ^ 1 << 63) as i128
+    if aux.len() < n {
+        aux.resize(n, v[0]);
+    }
+    let aux = &mut aux[..n];
+    let first = key(&v[0]);
+    let mut in_aux = false;
+    for (d, c) in counts.iter().enumerate() {
+        if c[usize::from(first.byte(d))] == n {
+            continue; // every key has this byte
+        }
+        let mut at = [0usize; 256];
+        let mut sum = 0;
+        for (a, &count) in at.iter_mut().zip(c) {
+            *a = sum;
+            sum += count;
+        }
+        let (from, to) = if in_aux {
+            (&*aux, &mut *v)
+        } else {
+            (&*v, &mut *aux)
+        };
+        for t in from {
+            let b = usize::from(key(t).byte(d));
+            to[at[b]] = *t;
+            at[b] += 1;
+        }
+        in_aux = !in_aux;
+    }
+    if in_aux {
+        v.copy_from_slice(aux);
+    }
 }
 
 /// Sweep the runs along two axes: `long` runs along axis `la`, `cross`
-/// runs along `ca`, in each plane of the third axis.
-fn sweep_runs(
-    long: &mut [Run],
-    cross: &mut [Run],
+/// runs along `ca`, in each plane of the third axis. Their coordinates
+/// are offsets from `origin` of `bits` bits per axis.
+fn sweep_runs<W: Width>(
+    long: &mut [AxisRun<W>],
+    cross: &mut [AxisRun<W>],
     [la, ca]: [usize; 2],
+    (origin, bits): (Coord, [u32; 3]),
+    aux: &mut Vec<AxisRun<W>>,
     sink: &mut impl Sink,
 ) -> ControlFlow<()> {
     let p = 3 - la - ca;
@@ -334,8 +558,10 @@ fn sweep_runs(
         (lp, 1 - lp)
     };
     let ((lp, lk), (cp, ck)) = (place(la), place(ca));
-    long.sort_unstable_by_key(|r| key(r.line[lp], r.lo));
-    cross.sort_unstable_by_key(|r| key(r.line[cp], r.line[ck]));
+    // a long run starts, and a cross run lies, at a place along `la`
+    let shift = bits[la];
+    sort_by_packed_key(long, |r| W::pack(r.line[lp], r.lo, shift), aux);
+    sort_by_packed_key(cross, |r| W::pack(r.line[cp], r.line[ck], shift), aux);
     // runs of one cross line are rare and few: order them by start
     for line in cross.chunk_by_mut(|a, b| a.line == b.line) {
         if line.len() > 1 {
@@ -343,20 +569,24 @@ fn sweep_runs(
         }
     }
     let seg = |plane: usize, key: usize| {
-        move |r: &Run| Seg {
+        move |r: &AxisRun<W>| Seg {
             plane: r.line[plane],
             key: r.line[key],
             lo: r.lo,
             hi: r.hi,
         }
     };
-    let point = |plane, along, across| {
+    let point = |plane: W, along: W, across: W| {
         let mut c = [0; 3];
-        (c[p], c[la], c[ca]) = (plane, along, across);
+        c[p] = plane.to_abs(origin[p]);
+        c[la] = along.to_abs(origin[la]);
+        c[ca] = across.to_abs(origin[ca]);
         c
     };
     let steps = [unit(la), unit(ca)];
-    sweep(long, cross, (seg(lp, lk), seg(cp, ck)), point, steps, sink)
+    let mut active = W::active(bits[ca]);
+    let segs = (seg(lp, lk), seg(cp, ck));
+    sweep(long, cross, segs, point, steps, &mut active, sink)
 }
 
 /// One stretch as a sweep over a family of planes sees it: its plane,
@@ -375,9 +605,9 @@ struct Seg<T> {
 /// The orthogonal segment-intersection sweep over one family of planes.
 /// `seg` views the `long` and `cross` stretches; `long` must be sorted
 /// by plane and start, `cross` by plane, key and start. Each plane is
-/// swept in order, keeping the long stretches entered so far keyed by
-/// their place across the sweep, and each cross stretch meets the keys
-/// it spans. `point(plane, along, across)` is the grid point at those
+/// swept in order, keeping the long stretches entered so far in
+/// `active`, keyed by their place across the sweep, and each cross
+/// stretch meets the keys it spans. `point(plane, along, across)` is the grid point at those
 /// coordinates, and `steps` are the unit steps of long and cross
 /// stretches.
 ///
@@ -391,13 +621,9 @@ fn sweep<T: Copy + Ord, L, C>(
     seg: (impl Fn(&L) -> Seg<T>, impl Fn(&C) -> Seg<T>),
     point: impl Fn(T, T, T) -> Coord,
     steps: [Coord; 2],
+    active: &mut impl Active<T>,
     sink: &mut impl Sink,
 ) -> ControlFlow<()> {
-    // per key across, the furthest end along the sweep of a long
-    // stretch entered so far in this plane; ended ones are dropped when
-    // met
-    let mut active: BTreeMap<T, T> = BTreeMap::new();
-    let mut ended = Vec::new();
     // the cross stretch reaching furthest on the current cross line
     let mut reach: Option<Seg<T>> = None;
     let (mut l, mut c, mut plane) = (0, 0, None);
@@ -416,18 +642,12 @@ fn sweep<T: Copy + Ord, L, C>(
         }
         if is_long {
             l += 1;
-            match active.entry(s.key) {
-                Entry::Vacant(e) => {
-                    e.insert(s.hi);
+            match active.enter(s.key, s.hi) {
+                Some(end) if end >= s.lo => {
+                    let shared = [s.lo, s.hi.min(end)].map(|t| point(s.plane, t, s.key));
+                    sink.meet(Stretch::ends(shared, steps[0]))?;
                 }
-                Entry::Occupied(mut e) => {
-                    let end = e.get_mut();
-                    if *end >= s.lo {
-                        let shared = [s.lo, s.hi.min(*end)].map(|t| point(s.plane, t, s.key));
-                        sink.meet(Stretch::ends(shared, steps[0]))?;
-                    }
-                    *end = (*end).max(s.hi);
-                }
+                _ => {}
             }
             continue;
         }
@@ -444,20 +664,166 @@ fn sweep<T: Copy + Ord, L, C>(
             }
             _ => reach = Some(s),
         }
-        for (&across, &end) in active.range(s.lo..=s.hi) {
-            if end < s.key {
-                ended.push(across);
-                continue;
-            }
+        let mut flow = ControlFlow::Continue(());
+        active.reaching(s.lo, s.hi, s.key, |across| {
             // crossings ascend with `across`, as steps are positive
             let hit = point(s.plane, s.key, across);
             if sink.bound().is_some_and(|b| hit > b) {
+                return ControlFlow::Break(());
+            }
+            flow = sink.meet(Stretch::single(hit));
+            flow
+        });
+        flow?;
+    }
+}
+
+/// The long stretches a sweep has entered in its current plane: per key
+/// across the sweep, the furthest end along it of those at that key.
+pub(crate) trait Active<T> {
+    fn clear(&mut self);
+
+    /// Enter a stretch ending at `end` at `key`. Returns the furthest end
+    /// entered at `key` before it, if any.
+    fn enter(&mut self, key: T, end: T) -> Option<T>;
+
+    /// Call `f` on each key in `lo..=hi` whose end is at `at` or past it,
+    /// ascending, until `f` breaks. A key passed whose end is before `at`
+    /// is dropped: the cross stretches come in order of `at`.
+    fn reaching(&mut self, lo: T, hi: T, at: T, f: impl FnMut(T) -> ControlFlow<()>);
+}
+
+/// An active set of any keys, in a tree.
+pub(crate) struct Tree<T> {
+    ends: BTreeMap<T, T>,
+    dropped: Vec<T>,
+}
+
+impl<T> Default for Tree<T> {
+    fn default() -> Self {
+        Tree {
+            ends: BTreeMap::new(),
+            dropped: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy + Ord> Active<T> for Tree<T> {
+    fn clear(&mut self) {
+        self.ends.clear();
+    }
+
+    fn enter(&mut self, key: T, end: T) -> Option<T> {
+        match self.ends.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(end);
+                None
+            }
+            Entry::Occupied(mut e) => {
+                let before = *e.get();
+                *e.get_mut() = before.max(end);
+                Some(before)
+            }
+        }
+    }
+
+    fn reaching(&mut self, lo: T, hi: T, at: T, mut f: impl FnMut(T) -> ControlFlow<()>) {
+        for (&key, &end) in self.ends.range(lo..=hi) {
+            if end < at {
+                self.dropped.push(key);
+            } else if f(key).is_break() {
                 break;
             }
-            sink.meet(Stretch::single(hit))?;
         }
-        for across in ended.drain(..) {
-            active.remove(&across);
+        for key in self.dropped.drain(..) {
+            self.ends.remove(&key);
+        }
+    }
+}
+
+/// An active set of `u32` keys below 2¹⁶ in a bitmap, with their ends in
+/// an array: no search, and nothing to allocate per plane. Wider keys go
+/// to a tree, as the array takes 4 bytes per place across the sweep (at
+/// 2¹⁸ nodes a bitmap of 20-bit keys checked no faster).
+pub(crate) enum Small {
+    Bitmap {
+        /// Bit `k` is set while key `k` is active.
+        words: Vec<u64>,
+        ends: Vec<u32>,
+        /// The keys entered in this plane, to clear.
+        entered: Vec<u32>,
+    },
+    Tree(Tree<u32>),
+}
+
+impl Small {
+    /// An empty set for keys of `bits` bits.
+    fn new(bits: u32) -> Small {
+        if bits > 16 {
+            return Small::Tree(Tree::default());
+        }
+        Small::Bitmap {
+            words: vec![0; (1usize << bits).div_ceil(64)],
+            ends: vec![0; 1 << bits],
+            entered: Vec::new(),
+        }
+    }
+}
+
+impl Active<u32> for Small {
+    fn clear(&mut self) {
+        match self {
+            Small::Bitmap { words, entered, .. } => {
+                for k in entered.drain(..) {
+                    words[k as usize / 64] = 0;
+                }
+            }
+            Small::Tree(t) => t.clear(),
+        }
+    }
+
+    fn enter(&mut self, key: u32, end: u32) -> Option<u32> {
+        match self {
+            Small::Bitmap {
+                words,
+                ends,
+                entered,
+            } => {
+                let (k, bit) = (key as usize, 1u64 << (key % 64));
+                if words[k / 64] & bit == 0 {
+                    words[k / 64] |= bit;
+                    ends[k] = end;
+                    entered.push(key);
+                    return None;
+                }
+                let before = ends[k];
+                ends[k] = before.max(end);
+                Some(before)
+            }
+            Small::Tree(t) => t.enter(key, end),
+        }
+    }
+
+    fn reaching(&mut self, lo: u32, hi: u32, at: u32, mut f: impl FnMut(u32) -> ControlFlow<()>) {
+        let (words, ends) = match self {
+            Small::Bitmap { words, ends, .. } => (words, ends),
+            Small::Tree(t) => return t.reaching(lo, hi, at, f),
+        };
+        let (first, last) = (lo as usize / 64, hi as usize / 64);
+        for (word, w) in words[first..=last].iter_mut().zip(first..) {
+            // the bits `from..=to` of word `w` are those of `lo..=hi`
+            let from = (lo as usize).max(64 * w) - 64 * w;
+            let to = (hi as usize).min(64 * w + 63) - 64 * w;
+            let mut bits = *word & (u64::MAX >> (63 - (to - from))) << from;
+            while bits != 0 {
+                let k = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if ends[k] < at {
+                    *word &= !(1u64 << (k % 64));
+                } else if f(k as u32).is_break() {
+                    return;
+                }
+            }
         }
     }
 }
@@ -466,8 +832,8 @@ fn sweep<T: Copy + Ord, L, C>(
 /// `b` present is swept against each axis, even one without runs, so
 /// that the overlaps of `b`'s own diagonals are found too, and against
 /// every diagonal direction before it.
-fn diagonal_meetings(
-    axes: [&[Run]; 3],
+fn diagonal_meetings<W: Width>(
+    runs: &Runs<W>,
     diagonals: &[(Stretch, u32)],
     sink: &mut impl Sink,
 ) -> ControlFlow<()> {
@@ -481,9 +847,8 @@ fn diagonal_meetings(
             .filter(move |d| d.step == step)
     };
     for (k, &b) in steps.iter().enumerate() {
-        for (axis, runs) in axes.iter().enumerate() {
-            let long = runs.iter().map(Run::stretch);
-            Frame::new(unit(axis), b).sweep(long, along(b), sink)?;
+        for axis in 0..3 {
+            Frame::new(unit(axis), b).sweep(runs.stretches(axis), along(b), sink)?;
         }
         for &a in &steps[..k] {
             Frame::new(a, b).sweep(along(a), along(b), sink)?;
@@ -600,23 +965,39 @@ impl Frame {
             (|s: &Seg<i128>| *s, |s: &Seg<i128>| *s),
             point,
             steps,
+            &mut Tree::default(),
             sink,
         )
     }
 }
 
-/// Append to `out` the wire of every run and diagonal holding `c`.
-/// `runs` must be sorted in their own order (axis, line, start).
-pub(crate) fn holders(runs: &[Run], diagonals: &[(Stretch, u32)], c: Coord, out: &mut Vec<u32>) {
-    for axis in 0..3u8 {
-        let (line, t) = (others(axis).map(|k| c[k]), c[axis as usize]);
-        let from = runs.partition_point(|r| (r.axis, r.line) < (axis, line));
-        let on_line = runs[from..]
-            .iter()
-            .take_while(|r| (r.axis, r.line) == (axis, line) && r.lo <= t);
-        out.extend(on_line.filter(|r| r.hi >= t).map(|r| r.wire));
+impl<W: Width> Runs<W> {
+    /// Sort each axis's runs by line, then start, as [`Runs::holders`]
+    /// needs them.
+    pub fn sort_by_line(&mut self) {
+        for runs in &mut self.axes {
+            runs.sort_unstable_by_key(|r| (r.line, r.lo));
+        }
     }
-    out.extend(diagonals.iter().filter(|d| d.0.contains(c)).map(|d| d.1));
+
+    /// Append to `out` the wire of every run holding `c`. The runs must
+    /// be sorted by [`Runs::sort_by_line`].
+    pub fn holders(&self, c: Coord, out: &mut Vec<u32>) {
+        for (axis, runs) in self.axes.iter().enumerate() {
+            let at = |k: usize| W::from_abs(c[k], self.origin[k]);
+            let [a, b] = others(axis as u8);
+            // a point out of reach is on no run
+            let (Some(la), Some(lb), Some(t)) = (at(a), at(b), at(axis)) else {
+                continue;
+            };
+            let line = [la, lb];
+            let from = runs.partition_point(|r| r.line < line);
+            let on_line = runs[from..]
+                .iter()
+                .take_while(|r| r.line == line && r.lo <= t);
+            out.extend(on_line.filter(|r| r.hi >= t).map(|r| r.wire));
+        }
+    }
 }
 
 /// Stops at the first meeting.
@@ -628,20 +1009,17 @@ impl Sink for AnyMeeting {
     }
 }
 
-/// Whether any two runs of `path` share a point. `scratch` is working
-/// space.
-fn any_meeting(path: &[(Run, bool)], scratch: &mut Vec<Run>) -> bool {
-    scratch.clear();
-    scratch.extend(path.iter().map(|&(r, _)| r));
-    meetings(scratch, &[], &mut AnyMeeting).is_break()
-}
-
 /// The first point, in path order, that a wire visits twice. `path`
 /// holds the wire's runs in path order, as [`split`] returns them;
 /// `scratch` is working space. [`crate::WirePath::validate`] calls it,
 /// and so does the checker, on a layout whose runs meet.
-pub(crate) fn first_revisit(path: &[(Run, bool)], scratch: &mut Vec<Run>) -> Option<Coord> {
-    let mut meet = |n: usize| any_meeting(&path[..n], scratch);
+pub(crate) fn first_revisit(path: &[(Run, bool)], scratch: &mut Runs<i64>) -> Option<Coord> {
+    // whether any two of the first `n` runs share a point
+    let mut meet = |n: usize| {
+        scratch.clear();
+        path[..n].iter().for_each(|(r, _)| scratch.push(r));
+        meetings(scratch, &[], &mut AnyMeeting).is_break()
+    };
     if !meet(path.len()) {
         return None;
     }
@@ -669,6 +1047,7 @@ pub(crate) fn first_revisit(path: &[(Run, bool)], scratch: &mut Vec<Run>) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
 
     fn p(x: i64, y: i64, z: i32) -> Point3 {
         Point3::new(x, y, z)
@@ -682,12 +1061,16 @@ mod tests {
         (runs, diagonals, bad)
     }
 
+    fn stretch(r: &Run) -> Stretch {
+        Stretch::ends([r.at(r.lo), r.at(r.hi)], unit(r.axis as usize))
+    }
+
     /// Every point the stretches hold, with multiplicity, sorted.
     fn points_of(runs: &[(Run, bool)], diagonals: &[(Stretch, u32)]) -> Vec<Coord> {
         let mut all: Vec<Coord> = Vec::new();
         for s in runs
             .iter()
-            .map(|(r, _)| r.stretch())
+            .map(|(r, _)| stretch(r))
             .chain(diagonals.iter().map(|d| d.0))
         {
             all.extend((0..s.len).map(|t| s.at(t)));
@@ -741,7 +1124,7 @@ mod tests {
         assert_eq!(bad, None);
         assert!(diagonals.is_empty());
         assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].0.stretch(), Stretch::single([3, 4, 1]));
+        assert_eq!(stretch(&runs[0].0), Stretch::single([3, 4, 1]));
     }
 
     #[test]
@@ -776,9 +1159,37 @@ mod tests {
         }
     }
 
+    /// Every point where the stretches meet, found at `u32` offsets from
+    /// the runs' minimum corner, with active runs in a bitmap and in a
+    /// tree, and at `i64`, which must all agree.
+    fn met_at_both_widths(runs: &[Run], diagonals: &[(Stretch, u32)]) -> Vec<Coord> {
+        fn met<W: Width>(
+            runs: &[Run],
+            diagonals: &[(Stretch, u32)],
+            span: [Coord; 2],
+        ) -> Vec<Coord> {
+            let mut at = Runs::<W>::with_capacity(span, [0; 3]);
+            runs.iter().for_each(|r| at.push(r));
+            let mut all = All::default();
+            assert!(meetings(&mut at, diagonals, &mut all).is_continue());
+            all.0.sort_unstable();
+            all.0.dedup();
+            all.0
+        }
+        let min = |k: usize| runs.iter().map(|r| r.at(r.lo)[k]).min().unwrap_or(0);
+        let max = |k: usize| runs.iter().map(|r| r.at(r.hi)[k]).max().unwrap_or(0);
+        let span = [[0, 1, 2].map(min), [0, 1, 2].map(max)];
+        let wide = met::<i64>(runs, diagonals, span);
+        assert_eq!(met::<u32>(runs, diagonals, span), wide);
+        // offsets of more than 16 bits keep a sweep's runs in a tree
+        let far = [span[0], span[1].map(|c| c + (1 << 20))];
+        assert_eq!(met::<u32>(runs, diagonals, far), wide);
+        wide
+    }
+
     #[test]
     fn meetings_cover_every_shared_point() {
-        let mut runs = vec![
+        let runs = [
             run(0, [0, 0], 0, 10), // x-run at y = 0, z = 0
             run(0, [0, 0], 8, 12), // overlaps it at x = 8..10
             run(1, [5, 0], -3, 3), // crosses it at (5, 0, 0)
@@ -787,12 +1198,8 @@ mod tests {
             run(2, [7, 0], 2, 2),  // … twice, as a y-run and a z-run
             run(1, [20, 0], 0, 9), // far away
         ];
-        let mut all = All::default();
-        assert!(meetings(&mut runs, &[], &mut all).is_continue());
-        all.0.sort_unstable();
-        all.0.dedup();
         assert_eq!(
-            all.0,
+            met_at_both_widths(&runs, &[]),
             vec![
                 [5, 0, 0],
                 [7, 0, 2],
@@ -818,13 +1225,8 @@ mod tests {
             .map(|w| w[0])
             .collect();
         counted.dedup();
-        let mut runs: Vec<Run> = runs.into_iter().map(|(r, _)| r).collect();
-        let mut met = All::default();
-        let flow = meetings(&mut runs, &diagonals, &mut met);
-        assert!(flow.is_continue());
-        met.0.sort_unstable();
-        met.0.dedup();
-        (met.0, counted)
+        let runs: Vec<Run> = runs.into_iter().map(|(r, _)| r).collect();
+        (met_at_both_widths(&runs, &diagonals), counted)
     }
 
     #[test]
@@ -884,12 +1286,75 @@ mod tests {
         }
     }
 
+    /// Sort `items` both ways; the keys must come out in the same order
+    /// and the items as the same multiset, as the sorts are unstable.
+    fn sorts_alike<T: Copy + Ord + Debug, K: Radix + Debug>(
+        items: &[T],
+        key: impl Fn(&T) -> K + Copy,
+        aux: &mut Vec<T>,
+    ) {
+        let mut want = items.to_vec();
+        want.sort_unstable_by_key(key);
+        let mut got = items.to_vec();
+        sort_by_packed_key(&mut got, key, aux);
+        let keys = |v: &[T]| v.iter().map(key).collect::<Vec<K>>();
+        assert_eq!(keys(&got), keys(&want), "{} items", items.len());
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn packed_sort_orders_as_a_comparison_sort() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let extremes = [
+            i64::MIN,
+            i64::MIN + 1,
+            -256,
+            -1,
+            0,
+            255,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let (mut aux, mut wide_aux) = (Vec::new(), Vec::new());
+        for n in [
+            0,
+            1,
+            2,
+            SMALL_SORT - 1,
+            SMALL_SORT,
+            SMALL_SORT + 1,
+            5 * SMALL_SORT + 3,
+        ] {
+            // bytes 2 and 3 of `a` and 0 and 1 of `b` vary, the others
+            // are constant, and keys repeat; the index tells items apart
+            let narrow: Vec<(u32, u32, usize)> = (0..n)
+                .map(|i| ((next(5) as u32) << 16 | 0x0100_0000, next(300) as u32, i))
+                .collect();
+            sorts_alike(&narrow, |&(a, b, _)| u32::pack(a, b, 32), &mut aux);
+            // one key throughout: every byte is constant
+            let same: Vec<(u32, u32, usize)> = (0..n).map(|i| (7, 9, i)).collect();
+            sorts_alike(&same, |&(a, b, _)| u32::pack(a, b, 9), &mut aux);
+            let wide: Vec<(i64, i64, usize)> = (0..n)
+                .map(|i| (extremes[next(8) as usize], extremes[next(8) as usize], i))
+                .collect();
+            sorts_alike(&wide, |&(a, b, _)| i64::pack(a, b, 64), &mut wide_aux);
+        }
+    }
+
     #[test]
     fn first_revisit_in_path_order() {
         let revisit = |corners: &[Point3]| {
             let (runs, _, bad) = split_all(corners);
             assert_eq!(bad, None);
-            first_revisit(&runs, &mut Vec::new()).map(point)
+            first_revisit(&runs, &mut Runs::default()).map(point)
         };
         // a U-turn: back over (2, 0) first
         assert_eq!(

@@ -115,6 +115,18 @@ fn hostile_small_layout(
     l
 }
 
+/// A copy of `l` with a node of its own 2⁴⁰ along x and a one-point
+/// wire on it. Its wires span 2³² or more, so the checker takes their
+/// runs in absolute `i64` coordinates rather than `u32` offsets, and the
+/// copy's report is the original's with one more point of each kind.
+fn spread(l: &Layout) -> Layout {
+    let (far, node) = (1i64 << 40, u32::MAX);
+    let mut wide = l.clone();
+    wide.place_node(node, Rect::new(far, 0, far, 0));
+    wide.add_wire(node, node, WirePath::new(vec![Point3::new(far, 0, 0)]));
+    wide
+}
+
 /// The point walk [`analytics::layer_usage`] replaced: every point of
 /// every wire, counted on its layer.
 fn layer_usage_by_points(l: &Layout) -> Vec<u64> {
@@ -145,7 +157,7 @@ mlv_proptest! {
     /// The run-based checker reports exactly what the naive point-set
     /// reference reports — errors, their order, the cap and the point
     /// totals — on random small hostile layouts, with and without a
-    /// reference graph.
+    /// reference graph, and on a copy spread past 2³² along x.
     #[test]
     fn checker_equals_naive_reference(
         layers in 1usize..4,
@@ -157,7 +169,11 @@ mlv_proptest! {
         extra in 0u32..4,
     ) {
         let l = hostile_small_layout(layers, &nodes, &wires);
-        prop_assert_eq!(check(&l, None), naive_check(&l, None));
+        let (narrow, wide) = (check(&l, None), spread(&l));
+        prop_assert_eq!(&narrow, &naive_check(&l, None));
+        let r = check(&wide, None);
+        prop_assert_eq!(&r, &naive_check(&wide, None));
+        prop_assert_eq!(r.errors, narrow.errors);
         // a graph with the wires' own endpoint pairs, plus sometimes one
         // stray edge so topology can mismatch
         let n = nodes.len() as u32;
@@ -172,11 +188,13 @@ mlv_proptest! {
         }
         let g = g.build();
         prop_assert_eq!(check(&l, Some(&g)), naive_check(&l, Some(&g)));
+        prop_assert_eq!(check(&wide, Some(&g)), naive_check(&wide, Some(&g)));
     }
 
     /// Past the cap: coincident wires crossed by a comb overflow
     /// [`CheckReport::ERROR_CAP`] in the conflict phase, and the checker
-    /// truncates at the same conflict as the reference.
+    /// truncates at the same conflict as the reference, also on a copy
+    /// spread past 2³² along x.
     #[test]
     fn checker_equals_naive_reference_past_the_cap(
         copies in 3usize..6,
@@ -199,6 +217,10 @@ mlv_proptest! {
         let r = check(&l, None);
         prop_assert_eq!(r.errors.len(), CheckReport::ERROR_CAP);
         prop_assert!(r.errors.iter().all(|e| matches!(e, CheckError::WireConflict { .. })));
+        let wide = spread(&l);
+        let spread_r = check(&wide, None);
+        prop_assert_eq!(&spread_r, &naive_check(&wide, None));
+        prop_assert_eq!(&spread_r.errors, &r.errors);
         prop_assert_eq!(r, naive_check(&l, None));
     }
 

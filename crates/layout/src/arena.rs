@@ -37,6 +37,18 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     })
 }
 
+/// Free this thread's pass scratch. A process that realizes one layout
+/// and then checks it calls this in between, so that the checker's runs
+/// do not sit beside a scratch it no longer needs (~0.9 GiB at 2²⁰
+/// nodes).
+pub fn release_scratch() {
+    SCRATCH.with(|cell| {
+        if let Ok(mut s) = cell.try_borrow_mut() {
+            *s = Scratch::default();
+        }
+    });
+}
+
 /// One closed interval awaiting greedy colouring:
 /// `(key, lo, hi, tag)`. Sorting reproduces the AoS pipeline's
 /// per-key *stable* sort by `(lo, hi)`: `tag` encodes insertion order
