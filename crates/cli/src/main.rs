@@ -50,7 +50,7 @@ use mlv_grid::io::write_layout;
 use mlv_grid::metrics::{LayoutMetrics, PhysicalMetrics};
 use mlv_grid::streaming::{metrics_stream, StreamSource};
 use mlv_grid::svg::{render_svg, SvgOptions};
-use mlv_layout::passes::{check_stack, min_node_side};
+use mlv_layout::passes::{check_stack, max_node_side, min_node_side};
 use mlv_layout::realize::{align_wires, RealizeOptions};
 use mlv_layout::realize3d::Realize3dOptions;
 use mlv_layout::{realize_tiled, realize_tiled_3d, registry, TiledLayout};
@@ -405,6 +405,15 @@ fn cmd_layout(args: &[String]) -> ExitCode {
                 "--node-side {side} is below the terminal demand: {spec} needs a node side of at least {demand}"
             ));
         }
+        let max = max_node_side(&family.spec, layers, active_layers, pdk.as_ref());
+        if max.is_none_or(|max| side > max) {
+            let most = max.map_or("no node side fits".into(), |m| {
+                format!("{spec} takes a node side of at most {m}")
+            });
+            return fail(format!(
+                "--node-side {side} puts the layout past the i64 coordinate range: {most}"
+            ));
+        }
     }
     let tiled = match &opts_3d {
         Some(o) if o.active_layers > 1 => realize_tiled_3d(&family.spec, o),
@@ -418,8 +427,6 @@ fn cmd_layout(args: &[String]) -> ExitCode {
             },
         ),
     };
-    // this process realizes nothing more
-    mlv_layout::release_scratch();
     let metrics = metrics_stream(&tiled);
     // the streaming report has no physical section
     let physical = match &pdk {

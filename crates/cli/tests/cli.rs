@@ -353,6 +353,24 @@ fn node_side_below_the_demand_is_an_error() {
     }
 }
 
+/// A `--node-side` that puts the layout's extent past the `i64`
+/// coordinate range is an error, not a panic or a wrapped layout, with
+/// and without `--tiled` and `--check`; 2⁵⁹ still realizes and checks.
+#[test]
+fn node_side_past_the_i64_range_is_an_error() {
+    let layout = ["layout", "hypercube:4", "--layers", "4", "--node-side"];
+    for side in ["4000000000000000000", "9223372036854775807"] {
+        for extra in [&[][..], &["--check"], &["--tiled"], &["--tiled", "--check"]] {
+            let args = [&layout[..], &[side], extra].concat();
+            assert_error(&args, "i64 coordinate range");
+        }
+    }
+    let out = mlv(&[&layout[..], &["576460752303423488", "--check"]].concat());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("legality : VERIFIED"), "{stdout}");
+}
+
 /// A stack that leaves a slab without an H/V layer pair is an error,
 /// not a panic, for every command that realizes.
 #[test]

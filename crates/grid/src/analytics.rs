@@ -122,7 +122,9 @@ pub fn wire_length_stats(layout: &Layout) -> (f64, u64, u64, u64) {
     let mut lens: Vec<u64> = layout.wires.iter().map(|w| w.path.length()).collect();
     lens.sort_unstable();
     let n = lens.len();
-    let mean = lens.iter().sum::<u64>() as f64 / n as f64;
+    // summed in u128: a layout near the i64 coordinate range has wires
+    // whose lengths pass u64 together
+    let mean = lens.iter().map(|&l| u128::from(l)).sum::<u128>() as f64 / n as f64;
     (mean, lens[n / 2], lens[(n * 95) / 100], lens[n - 1])
 }
 

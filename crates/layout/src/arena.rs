@@ -3,8 +3,11 @@
 //!
 //! One [`Scratch`] holds the flat index vectors the passes fill
 //! (products *and* intermediates), and a column keeps only what a later
-//! pass reads: placement leaves one 4-byte offset per terminal, and the
-//! emit pass recomputes the terminal's node and edge from the wire.
+//! pass reads. The one per-wire column is placement's 4-byte offset per
+//! terminal; everything else is sized by node edges, gaps, jogs or
+//! slab-crossing wires. The emit pass recomputes each wire's kind, its
+//! terminals' node and edge, and its track and layer assignments from
+//! the spec and these columns.
 //! Each thread keeps one and reuses it across realizations
 //! ([`with_scratch`]), so the steady-state pipeline allocates little
 //! beyond the tiles it returns. This is the only allocation-reuse path:
@@ -17,9 +20,8 @@
 //! `clear()`s the vectors it writes, so a scratch left half-filled by a
 //! panicking realization cannot leak stale state into a later layout.
 
-use crate::passes::tracks::{IAssign, JAssign, TrackAssign};
+use crate::passes::tracks::{IAssign, JAssign};
 use crate::passes::SlabMap;
-use crate::passes::{layers::LayerAssign, WireKind};
 use std::cell::RefCell;
 
 thread_local! {
@@ -35,18 +37,6 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
         Ok(mut s) => f(&mut s),
         Err(_) => f(&mut Scratch::default()),
     })
-}
-
-/// Free this thread's pass scratch. A process that realizes one layout
-/// and then checks it calls this in between, so that the checker's runs
-/// do not sit beside a scratch it no longer needs (~0.9 GiB at 2²⁰
-/// nodes).
-pub fn release_scratch() {
-    SCRATCH.with(|cell| {
-        if let Ok(mut s) = cell.try_borrow_mut() {
-            *s = Scratch::default();
-        }
-    });
 }
 
 /// One closed interval awaiting greedy colouring:
@@ -66,24 +56,25 @@ pub(crate) struct Scratch {
     pub slabs: SlabMap,
     /// Node footprint side.
     pub side: i64,
-    /// Per-wire classification, in emission order.
-    pub kinds: Vec<WireKind>,
     /// Terminal offsets along their node edges, indexed `2·ki + end`
-    /// (a-end at `2·ki`); `passes::placement::terminal` names the node
-    /// and edge.
+    /// (a-end at `2·ki`) for wire `ki` of `passes::wire_kinds`;
+    /// `passes::placement::terminal` names the node and edge.
     pub term_off: Vec<u32>,
     // --- tracks products ------------------------------------------
-    /// Per-wire track assignment, parallel to `kinds`.
-    pub assign: Vec<TrackAssign>,
+    /// Jog assignment by jog-wire index (intra jogs only).
+    pub jassign: Vec<JAssign>,
+    /// Slab-crossing assignment by inter sequence number (wire order).
+    pub iassign: Vec<IAssign>,
+    /// Construction track count per row bundle.
+    pub base_h: Vec<u32>,
+    /// Construction track count per column bundle.
+    pub base_w: Vec<u32>,
     /// Horizontal gap height above each planar row slot.
     pub hpl_slot: Vec<i64>,
     /// Vertical gap width right of each column (risers included).
     pub wpl: Vec<i64>,
     /// Construction + jog width of each column gap.
     pub track_width: Vec<i64>,
-    // --- layers product -------------------------------------------
-    /// Per-wire layer assignment, parallel to `kinds`.
-    pub layer: Vec<LayerAssign>,
     // --- placement intermediates ----------------------------------
     /// Terminal count per `(cell, edge, class)`, indexed
     /// `cell·6 + edge·3 + class`; then each one's next offset.
@@ -94,19 +85,11 @@ pub(crate) struct Scratch {
     /// stack's next offset for slab-crossing a-side terminals.
     pub stack_next: Vec<u32>,
     // --- tracks intermediates -------------------------------------
-    /// Jog assignment by jog-wire index (intra jogs only).
-    pub jassign: Vec<JAssign>,
-    /// Slab-crossing assignment by inter sequence number (ki order).
-    pub iassign: Vec<IAssign>,
     /// Interval records for one colouring round (verticals, then
     /// horizontals — the buffer is reused).
     pub ivals: Vec<IVal>,
     /// First-fit end-of-track state, cleared per colouring run.
     pub track_end: Vec<u32>,
-    /// Construction track count per row bundle.
-    pub base_h: Vec<u32>,
-    /// Construction track count per column bundle.
-    pub base_w: Vec<u32>,
     /// Per-row bundle height before the per-slot max.
     pub hpl_row: Vec<i64>,
     /// Jog vertical tracks used per `(col, group, slab)`.
@@ -130,22 +113,19 @@ impl Default for Scratch {
                 slab_layers: 2,
             },
             side: 0,
-            kinds: Vec::new(),
             term_off: Vec::new(),
-            assign: Vec::new(),
+            jassign: Vec::new(),
+            iassign: Vec::new(),
+            base_h: Vec::new(),
+            base_w: Vec::new(),
             hpl_slot: Vec::new(),
             wpl: Vec::new(),
             track_width: Vec::new(),
-            layer: Vec::new(),
             edge_slots: Vec::new(),
             inter_per_stack: Vec::new(),
             stack_next: Vec::new(),
-            jassign: Vec::new(),
-            iassign: Vec::new(),
             ivals: Vec::new(),
             track_end: Vec::new(),
-            base_h: Vec::new(),
-            base_w: Vec::new(),
             hpl_row: Vec::new(),
             jog_vtracks: Vec::new(),
             jog_htracks: Vec::new(),

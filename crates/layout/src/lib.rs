@@ -59,7 +59,6 @@ pub mod tiled;
 /// count is unbounded memory.
 pub const MAX_LAYERS: usize = 1024;
 
-pub use arena::release_scratch;
 pub use realize::{realize, RealizeOptions};
 pub use spec::{ColWire, JogWire, OrthogonalSpec, RowWire};
 pub use tiled::{realize_tiled, realize_tiled_3d, TileInstance, TileShape, TiledLayout};

@@ -6,8 +6,10 @@
 //! it; planar row slot `sl` likewise in y. Nodes are `s × s` rectangles
 //! on their slab's bottom layer, left implicit in the grid metadata;
 //! every wire becomes one [`TileInstance`] of a shape from a small
-//! [`crate::tiled::TileShape`] table, resolved from its terminal
-//! offsets, track offsets, and layer assignment by [`super::geometry`].
+//! [`crate::tiled::TileShape`] table, resolved by [`super::geometry`]
+//! from its kind, terminal offsets, track offsets and layers. The loop
+//! walks [`super::wire_kinds`] and counts the slab-crossing wires as it
+//! goes, the sequence number their tracks records are indexed by.
 //!
 //! The wire loop runs on the calling thread. A realization is one
 //! engine job, and the engine already runs one job per worker, so the
@@ -15,7 +17,7 @@
 //! `hypercube:14` (114,688 wires).
 
 use super::geometry::Resolver;
-use super::{PassConfig, PassContext};
+use super::{wire_kinds, PassConfig, PassContext, WireKind};
 use crate::arena::Scratch;
 use crate::spec::OrthogonalSpec;
 use crate::tiled::{TileInstance, TiledLayout};
@@ -25,20 +27,27 @@ use crate::tiled::{TileInstance, TiledLayout};
 /// pitches (1 under the uniform stack); node footprints stay
 /// `side × side`.
 fn fill_origins(s: &mut Scratch, ctx: &PassContext) {
-    let side = s.side;
-    s.col_x0.clear();
-    s.col_x0.push(0);
+    origins(&mut s.col_x0, s.side, &s.wpl, ctx.xscale);
+    origins(&mut s.slot_y0, s.side, &s.hpl_slot, ctx.yscale);
+}
+
+/// Prefix sums of `side + gap·pitch` over `gaps`, from 0, into `out`:
+/// the origin of each column (or planar row slot), then the extent.
+///
+/// # Panics
+/// If a sum passes `i64`: a node side above [`super::max_node_side`],
+/// or a pitch that large.
+fn origins(out: &mut Vec<i64>, side: i64, gaps: &[i64], pitch: i64) {
+    out.clear();
+    out.push(0);
     let mut acc = 0i64;
-    for &w in &s.wpl {
-        acc += side + w * ctx.xscale;
-        s.col_x0.push(acc);
-    }
-    s.slot_y0.clear();
-    s.slot_y0.push(0);
-    let mut acc = 0i64;
-    for &h in &s.hpl_slot {
-        acc += side + h * ctx.yscale;
-        s.slot_y0.push(acc);
+    for &gap in gaps {
+        acc = gap
+            .checked_mul(pitch)
+            .and_then(|t| t.checked_add(side))
+            .and_then(|t| t.checked_add(acc))
+            .expect("layout extent passes i64");
+        out.push(acc);
     }
 }
 
@@ -53,26 +62,16 @@ pub(crate) fn run(
     s: &mut Scratch,
 ) -> TiledLayout {
     fill_origins(s, ctx);
-    let slabs = s.slabs;
-    let side = s.side;
-    let resolver = Resolver {
-        spec,
-        side,
-        slabs,
-        kinds: &s.kinds,
-        term_off: &s.term_off,
-        assign: &s.assign,
-        layer: &s.layer,
-        track_width: &s.track_width,
-        col_x0: &s.col_x0,
-        slot_y0: &s.slot_y0,
-        xscale: ctx.xscale,
-        yscale: ctx.yscale,
-    };
+    let s = &*s;
+    let resolver = Resolver { spec, s, ctx };
     let mut tiles: Vec<crate::tiled::TileShape> = Vec::new();
-    let mut instances: Vec<TileInstance> = Vec::with_capacity(s.kinds.len());
-    for ki in 0..s.kinds.len() {
-        let g = resolver.resolve(ki);
+    let mut instances: Vec<TileInstance> = Vec::with_capacity(spec.wire_count());
+    let mut inter = 0;
+    for (ki, k) in wire_kinds(spec, s.slabs).enumerate() {
+        let g = resolver.resolve(ki, k, inter);
+        if matches!(k, WireKind::InterCol { .. } | WireKind::InterJog { .. }) {
+            inter += 1;
+        }
         // the table stays tiny (one entry per kind × layer-assignment
         // combination), so a linear probe beats hashing
         let tile = match tiles.iter().position(|&t| t == g.shape) {
@@ -99,9 +98,9 @@ pub(crate) fn run(
         layers: cfg.layers,
         rows: spec.rows,
         cols: spec.cols,
-        side,
-        slots: slabs.slots,
-        slab_layers: slabs.slab_layers,
+        side: s.side,
+        slots: s.slabs.slots,
+        slab_layers: s.slabs.slab_layers,
         node_at: spec.node_at.clone(),
         col_x0: s.col_x0.clone(),
         slot_y0: s.slot_y0.clone(),

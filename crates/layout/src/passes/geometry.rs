@@ -1,7 +1,7 @@
 //! Wire-geometry resolution for the emit pass: the single source of
 //! the concrete corner arithmetic.
 //!
-//! [`Resolver::resolve`] maps one wire index to a [`WireGeom`]: a
+//! [`Resolver::resolve`] maps one wire to a [`WireGeom`]: a
 //! [`TileShape`] (the corner-sequence shape plus its layer indices) and
 //! the six anchor coordinates that place it (terminals `a`/`b` and the
 //! absolute track coordinates `t1`/`t2`). Expanding the shape at those
@@ -10,12 +10,15 @@
 //!
 //! A terminal's node and edge come from `placement::terminal`, the
 //! function the placement pass counted with; the scratch holds only
-//! its offset along that edge.
+//! its offset along that edge. The wire's track and layer assignments
+//! come from `tracks::assign` and `layers::assign`, which read the
+//! tracks pass's per-gap and per-jog products.
 
-use super::{SlabMap, WireKind};
-use crate::passes::layers::LayerAssign;
-use crate::passes::placement::{terminal, Edge};
-use crate::passes::tracks::TrackAssign;
+use super::layers::{self, LayerAssign};
+use super::placement::{terminal, Edge};
+use super::tracks::{self, TrackAssign};
+use super::{PassContext, WireKind};
+use crate::arena::Scratch;
 use crate::spec::OrthogonalSpec;
 use crate::tiled::TileShape;
 use mlv_topology::NodeId;
@@ -43,60 +46,57 @@ pub(crate) struct WireGeom {
     pub t2: i64,
 }
 
-/// Borrowed view over the scratch columns the geometry depends on.
+/// Borrowed view over the spec, the filled pass scratch (gap origins
+/// included) and the technology context.
 pub(crate) struct Resolver<'a> {
     pub spec: &'a OrthogonalSpec,
-    pub side: i64,
-    pub slabs: SlabMap,
-    pub kinds: &'a [WireKind],
-    pub term_off: &'a [u32],
-    pub assign: &'a [TrackAssign],
-    pub layer: &'a [LayerAssign],
-    pub track_width: &'a [i64],
-    pub col_x0: &'a [i64],
-    pub slot_y0: &'a [i64],
-    /// Horizontal track pitch (1 under the uniform stack).
-    pub xscale: i64,
-    /// Vertical track pitch (1 under the uniform stack).
-    pub yscale: i64,
+    pub s: &'a Scratch,
+    pub ctx: &'a PassContext,
 }
 
 impl Resolver<'_> {
     /// First x coordinate of column `c`'s vertical gap.
     fn gap_x0(&self, c: usize) -> i64 {
-        self.col_x0[c] + self.side
+        self.s.col_x0[c] + self.s.side
     }
 
     /// First y coordinate of planar slot `sl`'s horizontal gap.
     fn gap_y0(&self, sl: usize) -> i64 {
-        self.slot_y0[sl] + self.side
+        self.s.slot_y0[sl] + self.s.side
     }
 
-    /// Absolute planar coordinates of wire `ki`'s terminal `end`.
-    fn abs(&self, ki: usize, end: usize) -> (i64, i64) {
-        let t = terminal(self.spec, self.kinds[ki], end);
-        let off = self.term_off[2 * ki + end] as i64;
-        let (x0, y0) = (self.col_x0[t.col], self.slot_y0[self.slabs.slot_of(t.row)]);
+    /// Absolute planar coordinates of terminal `end` of wire `ki`, of
+    /// kind `k`.
+    fn abs(&self, ki: usize, k: WireKind, end: usize) -> (i64, i64) {
+        let s = self.s;
+        let t = terminal(self.spec, k, end);
+        let off = s.term_off[2 * ki + end] as i64;
+        let (x0, y0) = (s.col_x0[t.col], s.slot_y0[s.slabs.slot_of(t.row)]);
         match t.edge {
-            Edge::Top => (x0 + off, y0 + self.side - 1),
-            Edge::Right => (x0 + self.side - 1, y0 + off),
+            Edge::Top => (x0 + off, y0 + s.side - 1),
+            Edge::Right => (x0 + s.side - 1, y0 + off),
         }
     }
 
-    /// Resolve wire `ki`'s concrete geometry.
-    pub fn resolve(&self, ki: usize) -> WireGeom {
-        let k = &self.kinds[ki];
-        let (ax, ay) = self.abs(ki, 0);
-        let (bx, by) = self.abs(ki, 1);
+    /// Resolve the concrete geometry of wire `ki`, of kind `k`; `inter`
+    /// is its sequence number among the slab-crossing wires (read only
+    /// for those).
+    pub fn resolve(&self, ki: usize, k: WireKind, inter: usize) -> WireGeom {
+        let (ax, ay) = self.abs(ki, k, 0);
+        let (bx, by) = self.abs(ki, k, 1);
         let spec = self.spec;
-        let (shape, u, v, t1, t2) = match (*k, self.assign[ki], self.layer[ki]) {
+        let slabs = self.s.slabs;
+        let (xscale, yscale) = (self.ctx.xscale, self.ctx.yscale);
+        let track = tracks::assign(spec, self.s, self.ctx.groups, k, inter);
+        let layer = layers::assign(spec, slabs, self.ctx, k, &track);
+        let (shape, u, v, t1, t2) = match (k, track, layer) {
             (
                 WireKind::Row { idx },
                 TrackAssign::Construction { track: tidx, .. },
                 LayerAssign::Intra { zb, zh, zv },
             ) => {
                 let w = &spec.row_wires[idx];
-                let ty = self.gap_y0(self.slabs.slot_of(w.row)) + tidx * self.yscale;
+                let ty = self.gap_y0(slabs.slot_of(w.row)) + tidx * yscale;
                 (
                     TileShape::Row { zb, zh, zv },
                     spec.node(w.row, w.lo),
@@ -111,7 +111,7 @@ impl Resolver<'_> {
                 LayerAssign::Intra { zb, zh, zv },
             ) => {
                 let w = &spec.col_wires[idx];
-                let tx = self.gap_x0(w.col) + tidx * self.xscale;
+                let tx = self.gap_x0(w.col) + tidx * xscale;
                 (
                     TileShape::Col { zb, zh, zv },
                     spec.node(w.lo, w.col),
@@ -126,8 +126,8 @@ impl Resolver<'_> {
                 LayerAssign::Intra { zb, zh, zv },
             ) => {
                 let w = &spec.jog_wires[idx];
-                let tx = self.gap_x0(w.a.1) + tx * self.xscale;
-                let ty = self.gap_y0(self.slabs.slot_of(w.b.0)) + ty * self.yscale;
+                let tx = self.gap_x0(w.a.1) + tx * xscale;
+                let ty = self.gap_y0(slabs.slot_of(w.b.0)) + ty * yscale;
                 (
                     TileShape::Jog { zb, zh, zv },
                     spec.node(w.a.0, w.a.1),
@@ -148,8 +148,8 @@ impl Resolver<'_> {
                 },
             ) => {
                 let (ra, ca, rb, cb) = k.inter_ends(spec).unwrap();
-                let riser_x = self.gap_x0(ca) + (self.track_width[ca] + riser) * self.xscale;
-                let ty = self.gap_y0(self.slabs.slot_of(rb)) + ty * self.yscale;
+                let riser_x = self.gap_x0(ca) + (self.s.track_width[ca] + riser) * xscale;
+                let ty = self.gap_y0(slabs.slot_of(rb)) + ty * yscale;
                 (
                     TileShape::Riser {
                         za,

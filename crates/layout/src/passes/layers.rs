@@ -16,9 +16,11 @@
 //! Slab-crossing wires get layers on both sides: the x-run layer of
 //! their source-slab group, and the x/y pair of their destination-slab
 //! group; the riser climbs between the two in `z`.
+//!
+//! A wire's layers follow from its slab and its track groups alone, so
+//! the pass stores nothing: [`assign`] resolves them when emit asks.
 
-use super::{PassContext, WireKind};
-use crate::arena::Scratch;
+use super::{PassContext, SlabMap, WireKind};
 use crate::passes::tracks::TrackAssign;
 use crate::spec::OrthogonalSpec;
 
@@ -51,42 +53,43 @@ pub(crate) enum LayerAssign {
     },
 }
 
-/// Run the layers pass, filling the scratch's `layer` column (parallel
-/// to `kinds`).
-pub(crate) fn run(spec: &OrthogonalSpec, ctx: &PassContext, s: &mut Scratch) {
-    let slabs = s.slabs;
-    s.layer.clear();
-    s.layer.reserve(s.kinds.len());
-    for (k, t) in s.kinds.iter().zip(&s.assign) {
-        let home_row = match *k {
-            WireKind::Row { idx } => spec.row_wires[idx].row,
-            WireKind::Col { idx } => spec.col_wires[idx].lo,
-            WireKind::Jog { idx } => spec.jog_wires[idx].a.0,
-            _ => {
-                let (ra, _, rb, _) = k.inter_ends(spec).unwrap();
-                let TrackAssign::Inter {
-                    group_a, group_b, ..
-                } = *t
-                else {
-                    unreachable!("inter wire without inter track assignment")
-                };
-                let (sa, sb) = (slabs.slab_of(ra), slabs.slab_of(rb));
-                s.layer.push(LayerAssign::Inter {
-                    za: slabs.zbase(sa),
-                    zha: ctx.h[sa][group_a],
-                    zb: slabs.zbase(sb),
-                    zhb: ctx.h[sb][group_b],
-                    zvb: ctx.v[sb][group_b],
-                });
-                continue;
-            }
-        };
-        let slab = slabs.slab_of(home_row);
-        let g = t.home_group();
-        s.layer.push(LayerAssign::Intra {
-            zb: slabs.zbase(slab),
-            zh: ctx.h[slab][g],
-            zv: ctx.v[slab][g],
-        });
+/// Wire `k`'s layer assignment under track assignment `t`.
+pub(crate) fn assign(
+    spec: &OrthogonalSpec,
+    slabs: SlabMap,
+    ctx: &PassContext,
+    k: WireKind,
+    t: &TrackAssign,
+) -> LayerAssign {
+    let home_row = match k {
+        WireKind::Row { idx } => spec.row_wires[idx].row,
+        WireKind::Col { idx } => spec.col_wires[idx].lo,
+        WireKind::Jog { idx } => spec.jog_wires[idx].a.0,
+        WireKind::InterCol { .. } | WireKind::InterJog { .. } => {
+            let (ra, _, rb, _) = k
+                .inter_ends(spec)
+                .expect("slab-crossing kinds have two ends");
+            let TrackAssign::Inter {
+                group_a, group_b, ..
+            } = *t
+            else {
+                unreachable!("inter wire without inter track assignment")
+            };
+            let (sa, sb) = (slabs.slab_of(ra), slabs.slab_of(rb));
+            return LayerAssign::Inter {
+                za: slabs.zbase(sa),
+                zha: ctx.h[sa][group_a],
+                zb: slabs.zbase(sb),
+                zhb: ctx.h[sb][group_b],
+                zvb: ctx.v[sb][group_b],
+            };
+        }
+    };
+    let slab = slabs.slab_of(home_row);
+    let g = t.home_group();
+    LayerAssign::Intra {
+        zb: slabs.zbase(slab),
+        zh: ctx.h[slab][g],
+        zv: ctx.v[slab][g],
     }
 }

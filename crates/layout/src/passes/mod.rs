@@ -5,8 +5,7 @@
 //!   OrthogonalSpec + PassConfig
 //!        │
 //!        ▼
-//!   placement  — wire classification (row/col/jog, slab-crossing),
-//!        │       node footprint sizing from terminal demand, and
+//!   placement  — node footprint sizing from terminal demand, and
 //!        │       terminal offsets, counted per node edge (arrive <
 //!        │       jog < depart)
 //!        ▼
@@ -31,15 +30,18 @@
 //! [`mlv_grid::Layout`] is derived from the tiles on demand
 //! ([`crate::tiled::TiledLayout::materialize`]).
 //!
-//! The IR is **struct-of-arrays**: every pass reads and writes flat
-//! index vectors inside one reusable `crate::arena::Scratch`
-//! (terminal offsets indexed `2·ki + end`, per-edge terminal counters,
-//! track/layer assignments parallel to `kinds`, packed sort records for
-//! the colouring discipline). Per-stage products stay explicit — they are
-//! just columns of the scratch instead of per-pass structs — so
-//! alternative track-assignment passes can still be swapped in, while
-//! a reused scratch leaves the emitted tiles as the only steady-state
-//! allocation.
+//! Every pass walks the wires in one order, `wire_kinds`: rows, then
+//! columns, then jogs, each classified against the slab map as it is
+//! visited. The IR is **struct-of-arrays** over that order: the passes
+//! read and write flat index vectors inside one reusable
+//! `crate::arena::Scratch`. Its only per-wire column is placement's
+//! terminal offsets (indexed `2·ki + end`); the rest is per node edge,
+//! per gap, per jog or per slab-crossing wire. A wire's kind, track
+//! assignment and layers are closed forms of the spec, the per-gap
+//! track counts and those per-jog and per-crossing records, so emit
+//! resolves them as it goes (`tracks::assign`, `layers::assign`)
+//! instead of reading stored columns. A reused scratch leaves the
+//! emitted tiles as the only steady-state allocation.
 
 pub(crate) mod emit;
 pub(crate) mod geometry;
@@ -49,7 +51,7 @@ pub(crate) mod tracks;
 
 pub use placement::min_node_side;
 
-use crate::arena::Scratch;
+use crate::arena::{with_scratch, Scratch};
 use crate::realize::JogStrategy;
 use crate::spec::OrthogonalSpec;
 use crate::tiled::TiledLayout;
@@ -198,6 +200,48 @@ pub fn check_stack(pdk: Option<&Pdk>, layers: usize, active_layers: usize) -> Re
     slab_directions(pdk, layers, active_layers).map(|_| ())
 }
 
+/// The largest node side at which `spec`, realized with `layers`
+/// wiring layers over `active_layers` slabs (1 for the 2-D model) on
+/// stack `pdk` with round-robin jogs, keeps its extent, and so every
+/// coordinate, within `i64`; `None` if no side does. Each column, and
+/// each planar row slot, takes one node side plus its gap's tracks at
+/// the stack's pitch, and the gaps do not depend on the side, so the
+/// bound is exact. A `node_side` override above it cannot be realized.
+///
+/// # Panics
+/// If the spec is invalid or [`check_stack`] rejects the stack.
+pub fn max_node_side(
+    spec: &OrthogonalSpec,
+    layers: usize,
+    active_layers: usize,
+    pdk: Option<&Pdk>,
+) -> Option<usize> {
+    let cfg = PassConfig {
+        layers,
+        active_layers,
+        node_side: None,
+        jog_strategy: JogStrategy::RoundRobin,
+        layout_name: String::new(),
+        pdk: pdk.cloned(),
+    };
+    let ctx = PassContext::new(&cfg);
+    with_scratch(|s| {
+        placement::run(spec, &cfg, s);
+        tracks::run(spec, &cfg, &ctx, s);
+        // `n` node sides plus `gaps` at `pitch` fit while
+        // n·side ≤ i64::MAX − Σ gap·pitch
+        let fit = |n: usize, gaps: &[i64], pitch: i64| {
+            let tracks = gaps
+                .iter()
+                .try_fold(0i64, |acc, &g| acc.checked_add(g.checked_mul(pitch)?))?;
+            Some((i64::MAX - tracks) / n.max(1) as i64)
+        };
+        let x = fit(spec.cols, &s.wpl, ctx.xscale)?;
+        let y = fit(s.slabs.slots, &s.hpl_slot, ctx.yscale)?;
+        usize::try_from(x.min(y)).ok()
+    })
+}
+
 /// Open one [`PASS_SPANS`] span, tagged with the stack name for
 /// non-uniform PDKs (`pass.emit{pdk=hv6}`) so trace digests
 /// distinguish stacks; plain key — unchanged digests — otherwise.
@@ -208,9 +252,9 @@ fn pass_span(key: &'static str, ctx: &PassContext) -> mlv_core::trace::SpanGuard
     }
 }
 
-/// Wire classification produced by the placement pass. Indices point
-/// into the spec's `row_wires` / `col_wires` / `jog_wires`; the `Inter`
-/// variants mark slab-crossing wires that must ride a riser.
+/// One wire's classification, as [`wire_kinds`] yields it. Indices
+/// point into the spec's `row_wires` / `col_wires` / `jog_wires`; the
+/// `Inter` variants mark slab-crossing wires that must ride a riser.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum WireKind {
     /// Same-row link in the row's horizontal bundle.
@@ -241,6 +285,33 @@ impl WireKind {
             _ => None,
         }
     }
+}
+
+/// The spec's wires in pipeline order, classified against `slabs`:
+/// rows, then columns, then jogs, a column or jog whose ends land in
+/// different slabs marked slab-crossing. Wire `ki` of a realization is
+/// the iterator's `ki`-th item, and its slab-crossing wires, counted in
+/// this order, index the tracks pass's `iassign`.
+pub(crate) fn wire_kinds(
+    spec: &OrthogonalSpec,
+    slabs: SlabMap,
+) -> impl Iterator<Item = WireKind> + '_ {
+    let rows = (0..spec.row_wires.len()).map(|idx| WireKind::Row { idx });
+    let cols = spec.col_wires.iter().enumerate().map(move |(idx, w)| {
+        if slabs.slab_of(w.lo) == slabs.slab_of(w.hi) {
+            WireKind::Col { idx }
+        } else {
+            WireKind::InterCol { idx }
+        }
+    });
+    let jogs = spec.jog_wires.iter().enumerate().map(move |(idx, w)| {
+        if slabs.slab_of(w.a.0) == slabs.slab_of(w.b.0) {
+            WireKind::Jog { idx }
+        } else {
+            WireKind::InterJog { idx }
+        }
+    });
+    rows.chain(cols).chain(jogs)
 }
 
 /// Row-block-to-slab mapping: rows are cut into `L_A` contiguous blocks
@@ -305,8 +376,11 @@ pub(crate) fn run_pipeline(
         tracks::run(spec, cfg, &ctx, s);
     }
     {
+        // the layer assignment is a closed form of each wire's track
+        // groups that emit resolves per wire (`layers::assign`); the
+        // span stays so per-pass tables and trace digests keep four
+        // passes
         let _s = pass_span(PASS_SPANS[2], &ctx);
-        layers::run(spec, &ctx, s);
     }
     let _s = pass_span(PASS_SPANS[3], &ctx);
     emit::run(spec, cfg, &ctx, s)

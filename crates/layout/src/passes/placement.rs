@@ -1,6 +1,5 @@
-//! Pass 1 — placement: classify wires against the slab map, size the
-//! node footprint from terminal demand, and fix every terminal's
-//! offset along its node edge.
+//! Pass 1 — placement: size the node footprint from terminal demand,
+//! and fix every terminal's offset along its node edge.
 //!
 //! Row-wire ends drop onto the node's **top edge** (excluding the
 //! corner), column-wire ends onto its **right edge** (excluding the
@@ -19,7 +18,8 @@
 //!
 //! Terminals are placed by **counting**, not sorting. [`terminal`] is
 //! the one statement of which node edge, and which class, each wire end
-//! takes. One walk over the wires counts the terminals of every
+//! takes. One walk over the wires ([`super::wire_kinds`], which also
+//! tells slab-crossing wires apart) counts the terminals of every
 //! (node cell, edge, class); the sums per edge are the top- and
 //! right-edge demand, and prefix sums over the classes turn the counts
 //! into cursors. A second walk, in wire order, hands each terminal its
@@ -29,7 +29,7 @@
 //! only the offsets: the emit pass asks [`terminal`] again for the node
 //! and edge.
 
-use super::{PassConfig, SlabMap, WireKind};
+use super::{wire_kinds, PassConfig, SlabMap, WireKind};
 use crate::arena::{with_scratch, Scratch};
 use crate::spec::OrthogonalSpec;
 
@@ -119,41 +119,17 @@ pub fn min_node_side(spec: &OrthogonalSpec, active_layers: usize) -> usize {
     with_scratch(|s| count(spec, slabs, s))
 }
 
-/// Classify the wires and count their terminals into the scratch
-/// (`slabs`, `kinds`, `edge_slots`, `inter_per_stack`, `stack_next`);
-/// returns the minimum node side.
+/// Count the wires' terminals into the scratch (`slabs`, `edge_slots`,
+/// `inter_per_stack`, `stack_next`); returns the minimum node side.
 fn count(spec: &OrthogonalSpec, slabs: SlabMap, s: &mut Scratch) -> usize {
     let (rows, cols) = (spec.rows, spec.cols);
     s.slabs = slabs;
-
-    // --- classify wires ------------------------------------------------
-    s.kinds.clear();
-    s.kinds.reserve(spec.wire_count());
-    for (i, _) in spec.row_wires.iter().enumerate() {
-        s.kinds.push(WireKind::Row { idx: i });
-    }
-    for (i, w) in spec.col_wires.iter().enumerate() {
-        if slabs.slab_of(w.lo) == slabs.slab_of(w.hi) {
-            s.kinds.push(WireKind::Col { idx: i });
-        } else {
-            s.kinds.push(WireKind::InterCol { idx: i });
-        }
-    }
-    for (i, w) in spec.jog_wires.iter().enumerate() {
-        if slabs.slab_of(w.a.0) == slabs.slab_of(w.b.0) {
-            s.kinds.push(WireKind::Jog { idx: i });
-        } else {
-            s.kinds.push(WireKind::InterJog { idx: i });
-        }
-    }
-
-    // --- count terminals -------------------------------------------------
     let stacks = slabs.slots * cols;
     s.edge_slots.clear();
     s.edge_slots.resize(rows * cols * 6, 0);
     s.inter_per_stack.clear();
     s.inter_per_stack.resize(stacks, 0);
-    for &k in &s.kinds {
+    for k in wire_kinds(spec, slabs) {
         for end in 0..2 {
             let t = terminal(spec, k, end);
             match t.class {
@@ -185,7 +161,7 @@ fn count(spec: &OrthogonalSpec, slabs: SlabMap, s: &mut Scratch) -> usize {
 }
 
 /// Run the placement pass, filling the scratch's placement columns
-/// (`slabs`, `kinds`, `side`, `term_off`).
+/// (`slabs`, `side`, `term_off`).
 ///
 /// # Panics
 /// If `cfg.node_side` is below [`min_node_side`].
@@ -198,7 +174,7 @@ pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, s: &mut Scratch) {
                 side >= min_side,
                 "node_side {side} below terminal demand {min_side}"
             );
-            side as i64
+            i64::try_from(side).expect("node_side within i64")
         }
         None => min_side as i64,
     };
@@ -215,8 +191,8 @@ pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, s: &mut Scratch) {
     }
     let cols = spec.cols;
     s.term_off.clear();
-    s.term_off.reserve(2 * s.kinds.len());
-    for &k in &s.kinds {
+    s.term_off.reserve(2 * spec.wire_count());
+    for k in wire_kinds(spec, slabs) {
         for end in 0..2 {
             let t = terminal(spec, k, end);
             let cursor = match t.class {
@@ -314,8 +290,7 @@ mod tests {
         assert_eq!(s.term_off, off, "{}", cfg.layout_name);
         assert_eq!(s.side, side as i64, "{}", cfg.layout_name);
         assert_eq!(min_node_side(spec, cfg.active_layers), side);
-        s.kinds
-            .iter()
+        wire_kinds(spec, s.slabs)
             .filter(|k| k.inter_ends(spec).is_some())
             .count()
     }

@@ -19,8 +19,14 @@
 //! stable sorts did. Per-bundle construction-track counts (`base_h` /
 //! `base_w`) are likewise built in one pass over the spec's wires
 //! instead of one scan *per* row and column.
+//!
+//! The pass keeps no per-wire column: a construction wire's group and
+//! offset are closed forms of its spec track, and a jog's or
+//! slab-crossing wire's follow from its colouring record (`jassign`,
+//! `iassign`) and the bundle counts, so [`assign`] resolves any wire's
+//! [`TrackAssign`] when emit asks for it.
 
-use super::{PassConfig, PassContext, WireKind};
+use super::{wire_kinds, PassConfig, PassContext, WireKind};
 use crate::arena::Scratch;
 use crate::realize::JogStrategy;
 use crate::spec::OrthogonalSpec;
@@ -139,7 +145,7 @@ pub(crate) struct JAssign {
 }
 
 /// Slab-crossing working assignment, indexed by inter sequence number
-/// (kinds order).
+/// (the wires' [`wire_kinds`] order).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct IAssign {
     /// Source-slab group.
@@ -153,7 +159,8 @@ pub(crate) struct IAssign {
 }
 
 /// Run the tracks pass, filling the scratch's track columns
-/// (`assign`, `hpl_slot`, `wpl`, `track_width`).
+/// (`jassign`, `iassign`, `base_h`, `base_w`, `hpl_slot`, `wpl`,
+/// `track_width`).
 pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, ctx: &PassContext, s: &mut Scratch) {
     let groups = ctx.groups;
     let slabs = s.slabs;
@@ -198,7 +205,7 @@ pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, ctx: &PassContext, s:
 
     // --- slab-crossing wires: groups, risers, pooled h-colouring ---------
     // horizontal intervals: intra jogs first (jog-index order), then
-    // slab-crossing wires (kinds order) — the tag preserves that order
+    // slab-crossing wires (wire order) — the tag preserves that order
     // for colour tie-breaking
     s.ivals.clear();
     for (i, w) in spec.jog_wires.iter().enumerate() {
@@ -215,23 +222,21 @@ pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, ctx: &PassContext, s:
     s.iassign.clear();
     s.riser_count.clear();
     s.riser_count.resize(cols, 0);
-    for k in &s.kinds {
-        if let Some((_, ca, rb, cb)) = k.inter_ends(spec) {
-            let n = s.iassign.len();
-            let riser = s.riser_count[ca] as usize;
-            s.riser_count[ca] += 1;
-            s.iassign.push(IAssign {
-                ga: n % groups,
-                gb: (n / groups) % groups,
-                hcolor: 0,
-                riser,
-            });
-            let gb = s.iassign[n].gb;
-            let key = (rb * groups + gb) as u64;
-            let clo = ca.min(cb);
-            let chi = ca.max(cb);
-            s.ivals.push((key, clo as u32, chi as u32, jlen + n as u32));
-        }
+    for (_, ca, rb, cb) in wire_kinds(spec, slabs).filter_map(|k| k.inter_ends(spec)) {
+        let n = s.iassign.len();
+        let riser = s.riser_count[ca] as usize;
+        s.riser_count[ca] += 1;
+        s.iassign.push(IAssign {
+            ga: n % groups,
+            gb: (n / groups) % groups,
+            hcolor: 0,
+            riser,
+        });
+        let gb = s.iassign[n].gb;
+        let key = (rb * groups + gb) as u64;
+        let clo = ca.min(cb);
+        let chi = ca.max(cb);
+        s.ivals.push((key, clo as u32, chi as u32, jlen + n as u32));
     }
     s.ivals.sort_unstable();
     s.jog_htracks.clear();
@@ -307,51 +312,46 @@ pub(crate) fn run(spec: &OrthogonalSpec, cfg: &PassConfig, ctx: &PassContext, s:
         s.track_width.push(tracks);
         s.wpl.push(tracks + s.riser_count[c] as i64);
     }
+}
 
-    // --- per-wire assignment ------------------------------------------------
-    s.assign.clear();
-    s.assign.reserve(s.kinds.len());
-    let mut inter_seq = 0usize;
-    for k in &s.kinds {
-        let a = match *k {
-            WireKind::Row { idx } => {
-                let w = &spec.row_wires[idx];
-                TrackAssign::Construction {
-                    group: w.track % groups,
-                    track: (w.track / groups) as i64,
-                }
+/// Wire `k`'s track assignment, from the products of [`run`] in `s`;
+/// `inter` is its sequence number among the slab-crossing wires (read
+/// only for those).
+pub(crate) fn assign(
+    spec: &OrthogonalSpec,
+    s: &Scratch,
+    groups: usize,
+    k: WireKind,
+    inter: usize,
+) -> TrackAssign {
+    let construction = |track: usize| TrackAssign::Construction {
+        group: track % groups,
+        track: (track / groups) as i64,
+    };
+    match k {
+        WireKind::Row { idx } => construction(spec.row_wires[idx].track),
+        WireKind::Col { idx } => construction(spec.col_wires[idx].track),
+        WireKind::Jog { idx } => {
+            let w = &spec.jog_wires[idx];
+            let a = s.jassign[idx];
+            TrackAssign::Jog {
+                group: a.group,
+                tx: (count_in_group(s.base_w[w.a.1] as usize, a.group, groups) + a.vcolor) as i64,
+                ty: (count_in_group(s.base_h[w.b.0] as usize, a.group, groups) + a.hcolor) as i64,
             }
-            WireKind::Col { idx } => {
-                let w = &spec.col_wires[idx];
-                TrackAssign::Construction {
-                    group: w.track % groups,
-                    track: (w.track / groups) as i64,
-                }
+        }
+        WireKind::InterCol { .. } | WireKind::InterJog { .. } => {
+            let (_, _, rb, _) = k
+                .inter_ends(spec)
+                .expect("slab-crossing kinds have two ends");
+            let ia = s.iassign[inter];
+            TrackAssign::Inter {
+                group_a: ia.ga,
+                group_b: ia.gb,
+                riser: ia.riser as i64,
+                ty: (count_in_group(s.base_h[rb] as usize, ia.gb, groups) + ia.hcolor) as i64,
             }
-            WireKind::Jog { idx } => {
-                let w = &spec.jog_wires[idx];
-                let a = s.jassign[idx];
-                TrackAssign::Jog {
-                    group: a.group,
-                    tx: (count_in_group(s.base_w[w.a.1] as usize, a.group, groups) + a.vcolor)
-                        as i64,
-                    ty: (count_in_group(s.base_h[w.b.0] as usize, a.group, groups) + a.hcolor)
-                        as i64,
-                }
-            }
-            _ => {
-                let (_, _, rb, _) = k.inter_ends(spec).unwrap();
-                let ia = s.iassign[inter_seq];
-                inter_seq += 1;
-                TrackAssign::Inter {
-                    group_a: ia.ga,
-                    group_b: ia.gb,
-                    riser: ia.riser as i64,
-                    ty: (count_in_group(s.base_h[rb] as usize, ia.gb, groups) + ia.hcolor) as i64,
-                }
-            }
-        };
-        s.assign.push(a);
+        }
     }
 }
 
